@@ -21,6 +21,7 @@ def _run_ablation(registry):
     rows = []
     for number in _QUERIES:
         step = get_query(number).build_step(registry)
+        step.output  # apply outside both timed explains
         started = time.perf_counter()
         exact = FedexExplainer(FedexConfig(sample_size=None, seed=0)).explain(step)
         exact_seconds = time.perf_counter() - started

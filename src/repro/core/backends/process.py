@@ -606,8 +606,14 @@ class ProcessBackend(ContributionBackend):
         outstanding future at once; whatever results already came home
         stay valid, and the rest report ``_MISSING`` for per-pair serial
         retry by the caller.
+
+        Once the caller has consumed the last queued pair, the remaining
+        jobs have nothing left to claim, so they are all waited for: the
+        board's steal counters are folded and the board removed even when
+        that pair's result arrived with an earlier job.
         """
-        while index not in self._queue_results and self._queue_futures:
+        while self._queue_futures and (index not in self._queue_results
+                                       or not self._queue_index):
             done, outstanding = wait(self._queue_futures,
                                      return_when=FIRST_COMPLETED)
             self._queue_futures = list(outstanding)

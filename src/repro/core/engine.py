@@ -157,7 +157,11 @@ class FedexExplainer:
         partial results.  Progress never changes a result: the events carry
         copies of per-pair summaries, and a raising callback aborts the
         request rather than corrupting it.
+
+        A derived step's output is applied before the run starts, so it
+        counts in neither the report's phase timings nor its trace.
         """
+        step.output
         tracer, token = begin_request()
         try:
             with tracer.span("explain", operation=step.operation.kind,

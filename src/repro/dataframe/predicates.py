@@ -38,10 +38,12 @@ class Predicate(ABC):
 
         Unlike :meth:`describe` — which may summarise for readability —
         the signature must distinguish any two predicates that can select
-        different rows.  The default delegates to :meth:`describe`, which
-        is faithful for the scalar predicates; predicates whose description
-        is lossy (:class:`RowIndexPredicate`) and the combinators (whose
-        children may be lossy) override it.
+        different rows.  The default delegates to :meth:`describe`.  The
+        built-in predicates override it: the scalar ones render column
+        names and values by ``repr`` (a separator inside a column name or a
+        string value cannot make two predicates collide), the combinators
+        use their children's signatures, and :class:`RowIndexPredicate`,
+        whose description summarises, digests its index set.
         """
         return self.describe()
 
@@ -92,6 +94,9 @@ class Comparison(Predicate):
         value = f"{self.value!r}" if isinstance(self.value, str) else f"{self.value}"
         return f"{self.column} {self.op} {value}"
 
+    def signature(self) -> str:
+        return f"{self.column!r} {self.op} {self.value!r}"
+
 
 class IsIn(Predicate):
     """``column IN (v1, v2, ...)`` membership predicate."""
@@ -109,6 +114,9 @@ class IsIn(Predicate):
 
     def describe(self) -> str:
         return f"{self.column} in {self.values}"
+
+    def signature(self) -> str:
+        return f"{self.column!r} in {self.values!r}"
 
 
 class Between(Predicate):
@@ -129,6 +137,10 @@ class Between(Predicate):
         upper = "<=" if self.inclusive_high else "<"
         return f"{self.low} <= {self.column} {upper} {self.high}"
 
+    def signature(self) -> str:
+        upper = "<=" if self.inclusive_high else "<"
+        return f"{self.low!r} <= {self.column!r} {upper} {self.high!r}"
+
 
 class IsNull(Predicate):
     """Rows whose value in ``column`` is missing."""
@@ -141,6 +153,9 @@ class IsNull(Predicate):
 
     def describe(self) -> str:
         return f"{self.column} is null"
+
+    def signature(self) -> str:
+        return f"{self.column!r} is null"
 
 
 class And(Predicate):

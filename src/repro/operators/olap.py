@@ -105,6 +105,11 @@ class Pivot(Operation):
         measure_text = f"{self.aggregate}({self.measure})" if self.measure else "count"
         return f"pivot {measure_text} by {self.index} x {self.columns}"
 
+    def signature(self) -> str:
+        return (f"pivot index={self.index!r} columns={self.columns!r} "
+                f"measure={self.measure!r} aggregate={self.aggregate!r} "
+                f"max_columns={self.max_columns!r}")
+
 
 class Diff(Operation):
     """Per-group change of an aggregated measure between two input snapshots.
@@ -163,6 +168,9 @@ class Diff(Operation):
     def describe(self) -> str:
         return f"diff of {self.aggregate}({self.measure}) per {self.key} between two snapshots"
 
+    def signature(self) -> str:
+        return f"diff key={self.key!r} measure={self.measure!r} aggregate={self.aggregate!r}"
+
 
 class RollUp(Operation):
     """OLAP roll-up: aggregate at a coarser grouping key.
@@ -202,3 +210,8 @@ class RollUp(Operation):
 
     def describe(self) -> str:
         return f"roll-up from ({', '.join(self.keys)}) to ({', '.join(self._inner.keys)})"
+
+    def signature(self) -> str:
+        # The description names only the keys; the rolled-up group-by's
+        # signature adds the aggregations and the count column.
+        return f"rollup keys={self.keys!r} via {self._inner.signature()}"

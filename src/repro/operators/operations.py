@@ -55,10 +55,14 @@ class Operation(ABC):
         """Faithful content identity of the operation, for cache keys.
 
         Must distinguish any two operations that can behave differently on
-        the same inputs.  The default delegates to :meth:`describe`, which
-        is faithful for key/column-driven operations (group-by, join, union,
-        project); operations embedding predicates override it so lossy
-        predicate descriptions (:class:`RowIndexPredicate`) cannot collide.
+        the same inputs, so it names every field that affects the output:
+        a derived step is keyed by its operation's signature and input
+        fingerprints alone (:func:`repro.core.signatures.step_signature`).
+        The default delegates to :meth:`describe`, which must then be
+        complete.  Operations with a lossy description (one that omits a
+        field or summarises a predicate) override it; the built-ins render
+        names and values by ``repr``, so a separator inside a column name
+        cannot make two operations collide.
         """
         return self.describe()
 
@@ -216,19 +220,17 @@ class GroupBy(Operation):
 
     def describe(self) -> str:
         prefix = f"where {self.pre_filter.describe()} " if self.pre_filter is not None else ""
-        return self._render(prefix)
-
-    def signature(self) -> str:
-        prefix = f"where {self.pre_filter.signature()} " if self.pre_filter is not None else ""
-        return self._render(prefix)
-
-    def _render(self, prefix: str) -> str:
         agg_text = ", ".join(
             f"{agg}({column})" for column, aggs in self.aggregations.items() for agg in aggs
         )
         if self.include_count:
             agg_text = f"{agg_text}, count" if agg_text else "count"
         return f"{prefix}group by {', '.join(self.keys)} computing {agg_text}"
+
+    def signature(self) -> str:
+        pre_filter = self.pre_filter.signature() if self.pre_filter is not None else None
+        return (f"groupby keys={self.keys!r} aggregations={self.aggregations!r} "
+                f"count={self.include_count!r} where={pre_filter!r}")
 
 
 class Join(Operation):
@@ -282,6 +284,9 @@ class Join(Operation):
 
     def describe(self) -> str:
         return f"{self.how} join on {', '.join(self.on)}"
+
+    def signature(self) -> str:
+        return f"join how={self.how!r} on={self.on!r}"
 
 
 class Union(Operation):
@@ -348,3 +353,6 @@ class Project(Operation):
 
     def describe(self) -> str:
         return f"project onto {', '.join(self.columns)}"
+
+    def signature(self) -> str:
+        return f"project {self.columns!r}"

@@ -38,9 +38,14 @@ Five layers, from coarse to fine:
   sort behind every KS re-scoring is paid once per content, not once per
   step.
 
-Because every key embeds content fingerprints that are recomputed from the
-raw values on each lookup, mutated data can never produce a stale hit: the
-mutation changes the fingerprint and the lookup misses.
+Every key embeds content fingerprints that are recomputed from the raw
+values on each request, so mutated data changes the fingerprint and the
+lookup misses.  The one exception is the output of a *derived* step (one
+built without ``output=``): the report layer keys it by lineage — operation
+plus input fingerprints (:func:`~repro.core.signatures.step_signature`) —
+so mutating its inputs in place still misses, but mutating its output in
+place is not detected.  Pass ``output=`` to key a step by its output's
+content as well.
 """
 
 from __future__ import annotations
@@ -198,20 +203,23 @@ class SessionCache:
                             build: Callable[[], ExplanationReport]) -> ExplanationReport:
         """Memoized report with in-flight coalescing of concurrent misses.
 
-        Counts a hit when the store (or a concurrent leader) already holds
-        the report, a miss when this caller computes it.
+        Counts exactly one lookup per call: a hit when the store (or a
+        concurrent leader) already holds the report, a miss when this
+        caller computes it.
         """
-        cached = self.store.get("reports", key, default=_MISSING)
-        if cached is not _MISSING:
-            self.stats.report_hits += 1
-            return cached
+        computed = False
 
         def counted_build() -> ExplanationReport:
+            nonlocal computed
+            computed = True
             self.stats.report_misses += 1
             return build()
 
-        return self.store.singleflight("reports", key, counted_build,
-                                       tenant=self.tenant)
+        report = self.store.singleflight("reports", key, counted_build,
+                                         tenant=self.tenant)
+        if not computed:
+            self.stats.report_hits += 1
+        return report
 
     # ------------------------------------------------------------------ scores
     def score(self, key: Tuple, build: Callable[[], float]) -> float:

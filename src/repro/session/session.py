@@ -31,11 +31,17 @@ Usage::
 Caching is governed by the request's config: ``cache_reports=False``
 disables the full-report memo, ``cache_structures=False`` detaches the
 engine from the structure cache (each toggle independently).
+
+A request can be keyed ahead of time with :meth:`ExplanationSession.prepare`
+— on another thread than the one that explains it.  For a derived step the
+key is its lineage, so a memoized report is found without applying the
+step's operation (see :mod:`repro.core.signatures`).
 """
 
 from __future__ import annotations
 
 from collections import deque
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from ..core.config import FedexConfig
@@ -54,6 +60,19 @@ class _EnvironmentToken:
     """Identity-hashed marker for one session's custom measure environment."""
 
     __slots__ = ()
+
+
+@dataclass(frozen=True)
+class PreparedExplain:
+    """A request keyed ahead of :meth:`ExplanationSession.explain`.
+
+    ``key`` is the report-memo key (``None`` when the request's config
+    disables report caching) and ``memoized`` whether the session's local
+    store held that report when it was keyed.
+    """
+
+    key: Optional[Tuple]
+    memoized: bool
 
 
 class ExplanationSession:
@@ -118,9 +137,27 @@ class ExplanationSession:
             self._environment_token = ("custom", _EnvironmentToken())
 
     # ------------------------------------------------------------------ public
+    def prepare(self, step: ExploratoryStep, measure: str | None = None,
+                config: FedexConfig | None = None) -> PreparedExplain:
+        """Key a request without computing anything (see :class:`PreparedExplain`).
+
+        Hashes what the report key needs — for a derived step only its
+        inputs, so the step's operation is not applied — and tests the
+        report layer for membership, which counts no lookup.  Pass the
+        result to :meth:`explain` with the same step, measure and config.
+        """
+        effective = config or self.config
+        with self.cache.request():
+            key = self._report_key(step, measure, effective)
+        # A membership test, not a lookup: it counts nothing and skips the
+        # shared tier (a report held only there reads as absent).
+        memoized = key is not None and ("reports", key) in self.cache.store
+        return PreparedExplain(key, memoized)
+
     def explain(self, step: ExploratoryStep, measure: str | None = None,
                 config: FedexConfig | None = None,
-                progress=None) -> ExplanationReport:
+                progress=None,
+                prepared: Optional[PreparedExplain] = None) -> ExplanationReport:
         """Explain one exploratory step through the session's caches.
 
         Behaviourally identical to ``FedexExplainer(config).explain(step)``
@@ -133,26 +170,34 @@ class ExplanationSession:
         ``progress`` is forwarded to the engine for partial-result events;
         a memoized report (and a coalesced follower of someone else's
         computation) emits none — there is nothing partial about a cache
-        hit.
+        hit.  ``prepared`` (from :meth:`prepare`) supplies the report key.
         """
         effective = config or self.config
         self._history.append(step)
         # One request scope: every fingerprint needed below (step signature,
         # column adoption, partition/structure keys) is hashed at most once.
         with self.cache.request():
+            key = (prepared.key if prepared is not None
+                   else self._report_key(step, measure, effective))
             compute = lambda: self._explainers.for_config(effective).explain(
                 step, measure=measure, progress=progress
             )
-            if not effective.cache_reports:
+            if key is None:
                 return compute()
-            report_key = (
-                step_signature(step, frame_fingerprint=self.cache.frame_fingerprint),
-                config_signature(effective), measure, self._environment_token,
-            )
             # Coalesced through the shared store: concurrent misses on the
             # same key (four tenants replaying one workload) share a single
             # computation instead of racing four identical ones.
-            return self.cache.report_singleflight(report_key, compute)
+            return self.cache.report_singleflight(key, compute)
+
+    def _report_key(self, step: ExploratoryStep, measure: str | None,
+                    config: FedexConfig) -> Optional[Tuple]:
+        """The report-memo key of a request; ``None`` when report caching is off."""
+        if not config.cache_reports:
+            return None
+        return (
+            step_signature(step, frame_fingerprint=self.cache.frame_fingerprint),
+            config_signature(config), measure, self._environment_token,
+        )
 
     def open(self, frame: DataFrame, config: FedexConfig | None = None) -> ExplainableDataFrame:
         """Wrap a dataframe so every ``explain()`` on it routes through this session."""

@@ -306,22 +306,21 @@ class CacheStore:
     # ----------------------------------------------------------------- lookups
     def get(self, layer: str, key: object, default: object = None) -> object:
         """The cached value of ``(layer, key)``, bumping its recency on a hit."""
+        value, outcome = self._read(layer, key)
+        self.metrics.bump("misses" if value is _MISSING else "hits")
+        tracer = current_tracer()
+        if tracer.enabled:
+            tracer.event("cache.lookup", labels={"layer": layer, "outcome": outcome})
+        return default if value is _MISSING else value
+
+    def _read(self, layer: str, key: object) -> Tuple[object, str]:
+        """``(value or _MISSING, outcome)`` of a lookup, without counting it."""
         composite = (layer, key)
         with self._lock.read():
             entry = self._entries.get(composite)
-        tracer = current_tracer()
         if entry is None:
             promoted = self._tier_promote(layer, key)
-            if promoted is not _MISSING:
-                self.metrics.bump("hits")
-                if tracer.enabled:
-                    tracer.event("cache.lookup",
-                                 labels={"layer": layer, "outcome": "tier_hit"})
-                return promoted
-            self.metrics.bump("misses")
-            if tracer.enabled:
-                tracer.event("cache.lookup", labels={"layer": layer, "outcome": "miss"})
-            return default
+            return promoted, ("miss" if promoted is _MISSING else "tier_hit")
         # Recency is recorded lock-free and applied by the next writer;
         # deque.append is atomic under the GIL.  A pure-hit workload never
         # writes, so drain opportunistically once the queue grows — both to
@@ -330,12 +329,14 @@ class CacheStore:
         if len(self._touches) > _TOUCH_DRAIN_THRESHOLD:
             with self._lock.write():
                 self._drain_touches_locked()
-        self.metrics.bump("hits")
-        if tracer.enabled:
-            tracer.event("cache.lookup", labels={"layer": layer, "outcome": "hit"})
-        return entry.value
+        return entry.value, "hit"
 
     def __contains__(self, composite: Tuple[str, object]) -> bool:
+        """``(layer, key) in store``: local membership only.
+
+        Not a lookup: no hit/miss is counted, recency is not bumped and
+        the tier is not consulted.
+        """
         with self._lock.read():
             return composite in self._entries
 
@@ -400,6 +401,10 @@ class CacheStore:
         (or the result is evicted before a follower wakes), followers fall
         back to computing for themselves — coalescing is an optimization,
         never a correctness dependency.
+
+        Every call counts exactly one lookup in :attr:`metrics`: a
+        follower's miss is counted when it finds the key absent, and its
+        re-read after the leader finishes is part of that lookup.
         """
         value = self.get(layer, key, default=_MISSING)
         if value is not _MISSING:
@@ -415,7 +420,7 @@ class CacheStore:
             with current_tracer().span("cache.coalesce_wait", layer=layer):
                 flight.event.wait()
             self.metrics.bump("coalesced_requests")
-            value = self.get(layer, key, default=_MISSING)
+            value, _ = self._read(layer, key)
             if value is not _MISSING:
                 return value
             return build()

@@ -27,6 +27,10 @@ Covers, per the PR's test-tier brief:
 
 from __future__ import annotations
 
+import array
+import threading
+from concurrent.futures import Future
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -322,6 +326,36 @@ class TestCrashMidSteal:
         assert stats["serial_retries"] == 0
         assert stats["shards_completed"] == len(grid)
         assert backend._queue_board is None
+
+    def test_board_folded_when_last_pair_came_with_an_earlier_job(
+            self, filter_step, tmp_path):
+        """Regression: the last pair the engine consumes may have come home
+        with a job that finished while another job is still winding down.
+        The board must still be folded (steal counters) and removed once
+        that pair is consumed, not leaked until every future happens to be
+        drained."""
+        backend = ProcessBackend(filter_step, ExceptionalityMeasure(),
+                                 workers=WORKERS, steal=True)
+        board = tmp_path / "board"
+        board.mkdir()
+        (board / "state.bin").write_bytes(array.array("q", [0, 0, 3, 5]).tobytes())
+        partition = object()
+        early, late = Future(), Future()
+        early.set_result(({0: "pair result"}, {}))
+        backend._queue_board = board
+        backend._queue_index = {(id(partition), "energy"): 0}
+        backend._queue_futures = [early, late]
+        finisher = threading.Timer(0.2, late.set_result, args=(({}, {}),))
+        finisher.start()
+        try:
+            assert backend.partition_contributions(partition, "energy", 0.0) \
+                == "pair result"
+        finally:
+            finisher.join()
+        assert backend._queue_board is None and not board.exists()
+        stats = backend.stats()
+        assert (stats["steals"], stats["stolen_pairs"]) == (3, 5)
+        assert stats["serial_retries"] == 0
 
 
 # ------------------------------------------------------ shared structure tier

@@ -9,6 +9,7 @@ from repro.core import FedexConfig, FedexExplainer
 from repro.dataframe import DataFrame
 from repro.errors import OperationError
 from repro.operators import Diff, ExploratoryStep, Pivot, RollUp
+from repro.session import ExplanationSession
 
 
 @pytest.fixture
@@ -120,3 +121,42 @@ class TestRollUp:
         step = ExploratoryStep([sales_frame], RollUp(["region", "category"], {"amount": ["mean"]}))
         report = FedexExplainer(FedexConfig(seed=0)).explain(step)
         assert report.interestingness_scores
+
+
+class TestLineageKeys:
+    """Derived OLAP steps are keyed by lineage: fields their descriptions
+    leave out (roll-up aggregations, pivot column cap) must still tell two
+    steps over the same frame apart."""
+
+    def _explain_twice(self, sales_frame, first, second):
+        session = ExplanationSession(config=FedexConfig(seed=0))
+        reports = [session.explain(ExploratoryStep([sales_frame], operation))
+                   for operation in (first, second)]
+        assert session.stats.report_hits == 0
+        assert session.stats.report_misses == 2
+        return reports
+
+    def test_rollups_differing_in_aggregations_both_miss(self, sales_frame):
+        mean, total = self._explain_twice(
+            sales_frame,
+            RollUp(["region", "category"], {"amount": ["mean"]}),
+            RollUp(["region", "category"], {"amount": ["sum"]}),
+        )
+        assert "mean_amount" in mean.interestingness_scores
+        assert "sum_amount" in total.interestingness_scores
+
+    def test_rollups_differing_in_count_column_both_miss(self, sales_frame):
+        _, counted = self._explain_twice(
+            sales_frame,
+            RollUp(["region", "category"], {"amount": ["mean"]}),
+            RollUp(["region", "category"], {"amount": ["mean"]}, include_count=True),
+        )
+        assert "count" in counted.interestingness_scores
+
+    def test_pivots_differing_in_column_cap_both_miss(self, sales_frame):
+        full, capped = self._explain_twice(
+            sales_frame,
+            Pivot("region", "category", "amount", "mean"),
+            Pivot("region", "category", "amount", "mean", max_columns=2),
+        )
+        assert len(capped.interestingness_scores) < len(full.interestingness_scores)

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from repro.dataframe import Comparison, DataFrame
+from repro.dataframe.predicates import And, Between, IsIn, IsNull, RowIndexPredicate
 from repro.errors import OperationError
-from repro.operators import Filter, GroupBy, Join, Project, Union
+from repro.operators import Diff, Filter, GroupBy, Join, Pivot, Project, RollUp, Union
 from repro.operators.operations import MEASURE_DIVERSITY, MEASURE_EXCEPTIONALITY
 
 
@@ -100,3 +101,54 @@ class TestProject:
     def test_requires_columns(self):
         with pytest.raises(OperationError):
             Project([])
+
+
+# A derived step is keyed by its operation's signature and input fingerprints
+# alone, so two operations that differ in any field affecting the output must
+# have different signatures.  Each pair differs in exactly one field.
+_SIGNATURE_PAIRS = {
+    "filter value": (Filter(Comparison("x", ">", 1)), Filter(Comparison("x", ">", 2))),
+    "filter numpy value": (Filter(Comparison("x", ">", 0.1)),
+                           Filter(Comparison("x", ">", np.float32(0.1)))),
+    "filter column separator": (
+        Filter(And([Comparison("a > 1) and (b", ">", 1)])),
+        Filter(And([Comparison("a", ">", 1), Comparison("b", ">", 1)])),
+    ),
+    "filter in-set": (Filter(IsIn("c", ["a", "b"])), Filter(IsIn("c", ["a, b"]))),
+    "filter between": (Filter(Between("x", 0, 1)),
+                       Filter(Between("x", 0, 1, inclusive_high=True))),
+    "filter is-null": (Filter(IsNull("a")), Filter(IsNull("b"))),
+    "filter row set": (Filter(RowIndexPredicate([1, 2])), Filter(RowIndexPredicate([1, 3]))),
+    "groupby keys": (GroupBy(["a, b"]), GroupBy(["a", "b"])),
+    "groupby aggregations": (GroupBy("a", {"x": ["mean"]}), GroupBy("a", {"x": ["sum"]})),
+    "groupby count": (GroupBy("a", {"x": ["mean"]}),
+                      GroupBy("a", {"x": ["mean"]}, include_count=True)),
+    "groupby pre-filter": (GroupBy("a", pre_filter=Comparison("x", ">", 1)),
+                           GroupBy("a", pre_filter=Comparison("x", ">", 2))),
+    "join how": (Join("k"), Join("k", how="left")),
+    "join keys": (Join(["a, b"]), Join(["a", "b"])),
+    "union arity": (Union(2), Union(3)),
+    "project columns": (Project(["a", "b"]), Project(["b", "a"])),
+    "pivot max columns": (Pivot("r", "c", "x", "mean"),
+                          Pivot("r", "c", "x", "mean", max_columns=2)),
+    "pivot aggregate": (Pivot("r", "c", "x", "mean"), Pivot("r", "c", "x", "sum")),
+    "pivot measure": (Pivot("r", "c"), Pivot("r", "c", "x")),
+    "diff aggregate": (Diff("k", "x", "mean"), Diff("k", "x", "sum")),
+    "rollup aggregations": (RollUp(["r", "c"], {"x": ["mean"]}),
+                            RollUp(["r", "c"], {"x": ["sum"]})),
+    "rollup count": (RollUp(["r", "c"], {"x": ["mean"]}),
+                     RollUp(["r", "c"], {"x": ["mean"]}, include_count=True)),
+}
+
+
+@pytest.mark.parametrize("first, second", list(_SIGNATURE_PAIRS.values()),
+                         ids=list(_SIGNATURE_PAIRS))
+def test_signature_names_every_field(first, second):
+    assert first.signature() != second.signature()
+
+
+def test_signature_is_stable_across_rebuilds():
+    assert (RollUp(["r", "c"], {"x": ["mean"]}).signature()
+            == RollUp(["r", "c"], {"x": ["mean"]}).signature())
+    assert (Pivot("r", "c", "x", "mean", max_columns=3).signature()
+            == Pivot("r", "c", "x", "mean", max_columns=3).signature())

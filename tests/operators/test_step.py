@@ -32,6 +32,37 @@ class TestConstruction:
             ExploratoryStep([tiny_frame, tiny_frame], Filter(Comparison("popularity", ">", 65)))
 
 
+class TestDerivedOutput:
+    def test_derived_output_is_computed_on_first_access_only(self, tiny_frame,
+                                                             monkeypatch):
+        calls = []
+        original = Filter.apply
+        monkeypatch.setattr(Filter, "apply",
+                            lambda self, inputs: calls.append(1) or original(self, inputs))
+        step = ExploratoryStep([tiny_frame], Filter(Comparison("popularity", ">", 65)))
+        assert step._output is None and calls == []
+        output = step.output
+        assert step.output is output and len(calls) == 1
+
+    def test_explicit_output_is_not_derived(self, tiny_frame):
+        step = ExploratoryStep([tiny_frame], Filter(Comparison("popularity", ">", 65)),
+                               output=tiny_frame.head(1))
+        assert step._output is not None
+        assert not step.lineage_matches(("any",))
+
+    def test_lineage_recorded_while_pending(self, tiny_frame):
+        step = ExploratoryStep([tiny_frame], Filter(Comparison("popularity", ">", 65)))
+        assert step.lineage_matches(("v1",))
+        step.output  # materialised from the inputs the check saw
+        assert step.lineage_matches(("v1",))
+        assert not step.lineage_matches(("v2",))  # lineage changed since
+
+    def test_output_materialised_before_any_check_has_no_lineage(self, tiny_frame):
+        step = ExploratoryStep([tiny_frame], Filter(Comparison("popularity", ">", 65)))
+        step.output
+        assert not step.lineage_matches(("v1",))
+
+
 class TestBehaviour:
     def test_rerun_on_new_inputs(self, tiny_frame):
         step = ExploratoryStep([tiny_frame], Filter(Comparison("popularity", ">", 65)))

@@ -15,6 +15,7 @@ import time
 import numpy as np
 import pytest
 
+import repro
 from repro import (
     Comparison,
     ExplanationService,
@@ -178,6 +179,100 @@ class TestConcurrencyStress:
             assert svc.store.tenant_usage(tenant) <= 2 * 1024 * 1024
 
 
+class TestLineageKeyedMemo:
+    """Derived steps are keyed by lineage, so memo hits never materialise."""
+
+    @pytest.fixture
+    def applies(self, monkeypatch):
+        """Names of the threads that applied a Filter to one of ``frames``:
+        materialisations (the engine's reruns apply it to reduced inputs)."""
+        record = {"frames": [], "threads": []}
+        original = Filter.apply
+
+        def counting(self, inputs):
+            if any(inputs[0] is frame for frame in record["frames"]):
+                record["threads"].append(threading.current_thread().name)
+            return original(self, inputs)
+
+        monkeypatch.setattr(Filter, "apply", counting)
+        return record
+
+    def test_memo_hit_never_applies_the_operation(self, service, spotify_small,
+                                                  applies):
+        first = service.explain("alice", _steps(spotify_small)[0])
+        applies["frames"].append(spotify_small)
+        fresh = _steps(spotify_small)[0]
+        report = service.submit("bob", fresh).result(timeout=60)
+        assert report is first
+        assert applies["threads"] == []
+        assert fresh._output is None
+
+    def test_miss_applies_once_on_the_submitting_thread(self, service,
+                                                        spotify_small, applies):
+        applies["frames"].append(spotify_small)
+        step = _steps(spotify_small)[0]
+        service.submit("alice", step).result(timeout=60)
+        assert applies["threads"] == [threading.current_thread().name]
+        assert step._output is not None
+
+    def test_one_report_lookup_per_request_on_hit_and_miss(self, spotify_small):
+        # Without structure caching the engine never touches the store, so
+        # every store lookup below is the report layer's.
+        svc = ExplanationService(config=FedexConfig(seed=0, cache_structures=False),
+                                 service_config=ServiceConfig(workers=2))
+        try:
+            session = svc.session("alice")
+
+            def lookups():
+                stats, store = session.stats, svc.store.metrics
+                return (stats.report_hits + stats.report_misses,
+                        store.hits + store.misses)
+
+            for expected_hit in (False, True):
+                before = lookups()
+                svc.explain("alice", _steps(spotify_small)[0])
+                after = lookups()
+                assert (after[0] - before[0], after[1] - before[1]) == (1, 1)
+                assert session.stats.report_hits == int(expected_hit)
+        finally:
+            svc.close()
+
+    def test_explicit_output_never_shares_the_derived_entry(self, service,
+                                                           spotify_small):
+        operation = Filter(Comparison("popularity", ">", 65))
+        # The right rows with a shifted column: not apply(inputs).
+        wrong = operation.apply([spotify_small]).copy()
+        wrong["energy"].values[:] += 0.5
+        for explicit_first in (True, False):
+            service.store.clear()
+            derived = ExploratoryStep([spotify_small], operation)
+            explicit = ExploratoryStep([spotify_small], operation, output=wrong)
+            order = [explicit, derived] if explicit_first else [derived, explicit]
+            reports = {id(step): service.explain("alice", step) for step in order}
+            assert reports[id(derived)] is not reports[id(explicit)]
+            assert reports[id(derived)].interestingness_scores != \
+                reports[id(explicit)].interestingness_scores
+            assert service.store.layer_count("reports") == 2
+
+    def test_derived_and_equal_explicit_output_give_identical_reports(
+            self, service, spotify_small):
+        from repro.serving import dump_json, report_document
+
+        def canonical(report) -> bytes:
+            document = report_document(report)
+            document.pop("timings")
+            return dump_json(document)
+
+        operation = Filter(Comparison("popularity", ">", 65))
+        derived = ExploratoryStep([spotify_small], operation)
+        explicit = ExploratoryStep([spotify_small], operation,
+                                   output=operation.apply([spotify_small]))
+        first = service.explain("alice", derived)
+        second = service.explain("alice", explicit)
+        assert second is not first  # lineage and content keys differ
+        assert canonical(second) == canonical(first)
+
+
 class TestAdmission:
     def _blocking_service(self, admission: str):
         svc = ExplanationService(
@@ -188,7 +283,7 @@ class TestAdmission:
         started = threading.Event()
         session = svc.session("alice")
 
-        def slow_explain(step, measure=None, config=None):
+        def slow_explain(step, measure=None, config=None, prepared=None):
             started.set()
             release.wait(timeout=10)
             return "done"
@@ -363,8 +458,15 @@ class TestObservability:
         service.explain("alice", _steps(spotify_small)[0])
         validate_prometheus_text(service.render_metrics())
 
-    def test_attach_observability_serves_and_detaches(
-            self, service, spotify_small, monkeypatch):
+    def test_tracing_override_reaches_the_pool(self, service, spotify_small):
+        """``repro.tracing()`` is a contextvar override; the pool worker
+        must run in the caller's context to see it."""
+        with repro.tracing():
+            report = service.explain("alice", _steps(spotify_small)[0])
+        assert report.trace is not None
+        assert [span.name for span in report.trace.children(None)] == ["explain"]
+
+    def test_attach_observability_serves_and_detaches(self, service, spotify_small):
         import json
         import urllib.request
 
@@ -372,10 +474,8 @@ class TestObservability:
 
         server = service.attach_observability()
         assert service.attach_observability() is server  # idempotent
-        # Requests run on pool threads, which see the env flag rather than
-        # the caller's context-local tracing() override.
-        monkeypatch.setenv("REPRO_TRACE", "1")
-        service.explain("alice", _steps(spotify_small)[0])
+        with repro.tracing():
+            service.explain("alice", _steps(spotify_small)[0])
 
         with urllib.request.urlopen(server.url + "/metrics", timeout=5) as r:
             families = validate_prometheus_text(r.read().decode("utf-8"))
@@ -399,11 +499,11 @@ class TestObservability:
             urllib.request.urlopen(server.url + "/healthz", timeout=0.5)
 
     def test_attach_observability_with_export_sink(
-            self, service, spotify_small, tmp_path, monkeypatch):
+            self, service, spotify_small, tmp_path):
         path = tmp_path / "otlp.jsonl"
         service.attach_observability(export_sink=str(path))
-        monkeypatch.setenv("REPRO_TRACE", "1")
-        service.explain("alice", _steps(spotify_small)[0])
+        with repro.tracing():
+            service.explain("alice", _steps(spotify_small)[0])
         exporter = service._obs_exporter
         assert exporter.flush(5.0)
         assert '"name": "explain"' in path.read_text()

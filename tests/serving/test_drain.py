@@ -36,7 +36,8 @@ def slow_served(spotify_small):
     release = threading.Event()
     session = service.session("anonymous")
 
-    def slow_explain(step, measure=None, config=None, progress=None):
+    def slow_explain(step, measure=None, config=None, progress=None,
+                     prepared=None):
         if progress is not None:
             progress({"phase": "contribution", "pair": 1, "pairs": 1})
         started.set()

@@ -154,6 +154,20 @@ class TestExplain:
             body=_explain_body(query="SELECT * FROM missing WHERE x > 1"))
         assert status == 404
 
+    @pytest.mark.parametrize("query", [
+        "SELECT * FROM spotify WHERE no_such_column > 3",
+        "SELECT no_such_column, AVG(loudness) FROM spotify GROUP BY no_such_column",
+    ])
+    def test_query_that_cannot_be_applied_is_400(self, served, query):
+        """A query that parses but names an unknown column fails when its
+        step is materialised, which happens before the request is queued."""
+        server, service = served
+        status, _, body = _request(server, "/explain",
+                                   body=_explain_body(query=query))
+        assert status == 400
+        assert json.loads(body)["type"] == "ColumnError"
+        assert service.stats("alice")["inflight"] == 0
+
     def test_oversized_declared_body_is_413(self, served):
         server, _ = served
         status, _, _ = _request(server, "/explain", body=b"x" * (300 * 1024))
@@ -217,6 +231,19 @@ class TestStreaming:
         response, events = _stream(server, _explain_body(), token=None)
         assert response.status == 401
 
+    @pytest.mark.parametrize("query", [
+        "SELECT * FROM spotify WHERE no_such_column > 3",
+        "SELECT no_such_column, AVG(loudness) FROM spotify GROUP BY no_such_column",
+    ])
+    def test_query_that_cannot_be_applied_is_a_plain_400(self, served, query):
+        """Not a 200 head followed by an in-band error: the step fails to
+        materialise before any chunk is written."""
+        server, _ = served
+        response, events = _stream(server, _explain_body(query=query))
+        assert response.status == 400
+        assert response.getheader("Transfer-Encoding") is None
+        assert events == [{"error": events[0]["error"], "type": "ColumnError"}]
+
     def test_mid_stream_failure_reports_an_error_event(self, served):
         server, _ = served
         body = _explain_body(
@@ -271,7 +298,8 @@ class TestWithoutAuth:
         started = threading.Event()
         session = service.session("anonymous")
 
-        def slow_explain(step, measure=None, config=None, progress=None):
+        def slow_explain(step, measure=None, config=None, progress=None,
+                         prepared=None):
             started.set()
             release.wait(timeout=20)
             raise RuntimeError("never a real report")

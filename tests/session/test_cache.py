@@ -143,6 +143,35 @@ class TestSignatures:
         groupby_step = ExploratoryStep([tiny_frame], GroupBy("decade", {"loudness": ["mean"]}))
         assert step_signature(filter_step) != step_signature(groupby_step)
 
+    def test_derived_step_is_keyed_by_lineage_without_applying(self, tiny_frame):
+        step = ExploratoryStep([tiny_frame], Filter(Comparison("popularity", ">", 65)))
+        signature = step_signature(step)
+        assert step._output is None
+        assert signature[2] == (tiny_frame.fingerprint(),)
+        assert len(signature) == 3
+
+    def test_explicit_output_is_keyed_by_content(self, tiny_frame):
+        operation = Filter(Comparison("popularity", ">", 65))
+        output = operation.apply([tiny_frame])
+        explicit = ExploratoryStep([tiny_frame], operation, output=output)
+        derived = ExploratoryStep([tiny_frame], operation)
+        assert step_signature(explicit)[3] == output.fingerprint()
+        assert step_signature(explicit) != step_signature(derived)
+
+    def test_input_mutated_after_materialisation_is_keyed_by_content(self, tiny_frame):
+        """A derived output computed before an in-place input mutation no
+        longer derives from the inputs: its key must cover the output."""
+        frame = tiny_frame.copy()
+        step = ExploratoryStep([frame], Filter(Comparison("popularity", ">", 65)))
+        lineage = step_signature(step)
+        step.output
+        assert step_signature(step) == lineage  # same inputs: still lineage
+        frame["popularity"].values[0] += 1.0
+        mutated = step_signature(step)
+        assert len(mutated) == 4 and mutated[:3] != lineage
+        fresh = ExploratoryStep([frame], Filter(Comparison("popularity", ">", 65)))
+        assert step_signature(fresh) != mutated
+
     def test_config_signature_covers_every_field(self):
         base = config_signature(FedexConfig())
         assert config_signature(FedexConfig()) == base

@@ -10,6 +10,7 @@ results).
 from __future__ import annotations
 
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -336,6 +337,41 @@ class TestConcurrentAccess:
         assert results == ["result"] * 4
         assert len(builds) == 1
         assert store.metrics.coalesced_requests == 3
+
+    def test_coalesced_follower_counts_one_lookup(self):
+        """Leader and follower each count one store lookup (both missed)
+        and one report lookup (a miss for the leader, a hit for the
+        follower, which did not compute); the follower's re-read of the
+        leader's result is part of its lookup, not a second one."""
+        store = CacheStore()
+        leader_view = SessionCache(store=store, tenant="alice")
+        follower_view = SessionCache(store=store, tenant="bob")
+        started, release = threading.Event(), threading.Event()
+
+        def slow_build():
+            started.set()
+            release.wait(timeout=5)
+            return "report"
+
+        results = []
+        leader = threading.Thread(
+            target=lambda: results.append(leader_view.report_singleflight("key", slow_build)))
+        follower = threading.Thread(
+            target=lambda: results.append(follower_view.report_singleflight("key", slow_build)))
+        leader.start()
+        assert started.wait(timeout=5)
+        follower.start()
+        deadline = time.monotonic() + 5
+        while store.metrics.misses < 2 and time.monotonic() < deadline:
+            time.sleep(0.001)  # the follower has looked the key up and missed
+        release.set()
+        leader.join()
+        follower.join()
+        assert results == ["report", "report"]
+        assert store.metrics.coalesced_requests == 1
+        assert (store.metrics.hits, store.metrics.misses) == (0, 2)
+        assert (leader_view.stats.report_hits, leader_view.stats.report_misses) == (0, 1)
+        assert (follower_view.stats.report_hits, follower_view.stats.report_misses) == (1, 0)
 
     def test_singleflight_leader_failure_unblocks_followers(self):
         store = CacheStore()
