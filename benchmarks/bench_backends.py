@@ -9,28 +9,21 @@ The headline number is the contribution phase of a 10k-row group-by step,
 where the incremental backend must be at least ~3x faster than the rerun
 backend; filter/join/union steps are reported alongside.
 
-A second section races the two pool backends — ``parallel`` (threads) vs
-``process`` — on a *Python-heavy* shard mix: the exceptionality measure
-over a group-by step has no incremental plan, so every shard re-runs the
-aggregation per set-of-rows, which is exactly the byte-code-bound work the
-GIL serializes across threads.  The bar: the process pool must be at least
-1.5x faster than the thread pool at 4 workers.  The bar is waived (with an
-explanation, not a silent pass) on hosts that cannot show the effect:
-free-threaded (GIL-free) builds, where threads scale too, and machines with
-fewer cores than workers.
+A second section races the ``process`` pool backend against the serial
+``incremental`` backend on a *Python-heavy* shard mix: the exceptionality
+measure over a group-by step has no incremental plan, so every shard
+re-runs the aggregation per set-of-rows, which is exactly the
+byte-code-bound work a process pool can spread over cores.  The bar: the
+process pool must be at least 1.3x faster than serial (``REPRO_WORKERS``
+workers, 4 by default).  The bar is waived (with an explanation, not a
+silent pass) on machines with fewer cores than workers, where the pool
+cannot fan out.
 
 A third section measures what shard batching buys on the *wide-grid* mix —
 many small partitions, tiny per-shard compute, so per-pair IPC dominates:
 the process backend with automatic batching must be at least 1.3x faster
 than its own per-pair (``shard_batch=1``) dispatch, which is exactly how
 the backend submitted before batching existed.
-
-A fourth section races the adaptive scheduler — cost-model batch sizing
-plus work-stealing — against fixed count-based batches on a *cost-skewed*
-grid (``set_counts=(2, 20)``, every pair an exact-rerun fallback): the
-adaptive run must be at least 1.3x faster at 4 workers with bit-identical
-scores, and the pool-shared structure tier must show a replacement pool
-loading published structures instead of rebuilding.
 
 Every run's timings and ratios are appended to ``BENCH_backends.json``
 through :mod:`perf_record`, so the trajectory is comparable across PRs.
@@ -51,8 +44,8 @@ from repro.datasets import load_spotify
 from repro.datasets.products import load_products_and_sales
 from repro.operators import ExploratoryStep, Filter, GroupBy, Join, Union
 
-#: Process-over-threads acceptance bar on the Python-heavy shard mix.
-POOL_SPEEDUP_BAR = 1.5
+#: Process-over-serial acceptance bar on the Python-heavy shard mix.
+POOL_SPEEDUP_BAR = 1.3
 
 #: Batched-over-unbatched acceptance bar on the wide-grid mix: automatic
 #: shard batching vs this backend's own per-pair dispatch (the pre-batching
@@ -68,10 +61,6 @@ TRACING_OVERHEAD_BAR = 0.02
 #: fraction of the contribution phase (conversion and delivery run on the
 #: exporter's own thread).
 EXPORT_OVERHEAD_BAR = 0.02
-
-#: Adaptive-scheduling acceptance bar on the skewed grid: cost-model batch
-#: sizing + work-stealing vs fixed count-based batches, at 4 workers.
-SKEW_SPEEDUP_BAR = 1.3
 
 
 def _steps(n_rows: int):
@@ -110,26 +99,22 @@ def run(n_rows: int = 10_000) -> list:
 
 
 def _pool_bar_waiver(workers: int) -> str | None:
-    """Why the process-over-threads bar cannot be enforced here, or ``None``."""
-    gil_enabled = getattr(sys, "_is_gil_enabled", lambda: True)()
-    if not gil_enabled:
-        return ("free-threaded (GIL-free) python build: threads scale across "
-                "cores too, so the process advantage the bar measures does not exist")
+    """Why the process-pool bars cannot be enforced here, or ``None``."""
     cores = os.cpu_count() or 1
     if cores < workers:
-        return (f"host has {cores} CPU core(s) for {workers} workers: neither "
-                "pool can fan out, the comparison measures only overhead")
+        return (f"host has {cores} CPU core(s) for {workers} workers: the "
+                "pool cannot fan out, the comparison measures only overhead")
     return None
 
 
 def run_pool_comparison(n_rows: int = 20_000, workers: int = 4):
-    """Threads vs processes on the Python-heavy shard mix; returns the speedup.
+    """Serial incremental vs the process pool on the Python-heavy shard mix.
 
     The step is a group-by explained with the *exceptionality* measure: no
     incremental plan exists for that combination, so every shard of the
     partition × attribute grid re-runs the aggregation per set-of-rows —
-    python-bytecode-heavy work that the thread pool serializes on the GIL
-    and the process pool genuinely parallelises.  ``spill_bytes=0`` ships
+    python-bytecode-heavy work that the serial backend runs on one core
+    and the process pool spreads over ``workers``.  ``spill_bytes=0`` ships
     the input to the workers through the content-addressed spill store.
     """
     spotify = load_spotify(n_rows, seed=3)
@@ -138,25 +123,25 @@ def run_pool_comparison(n_rows: int = 20_000, workers: int = 4):
     ))
     shared = dict(partition_source="all", set_counts=(5,), seed=0)
     configs = {
-        "threads": FedexConfig(backend="parallel", workers=workers, **shared),
+        "serial": FedexConfig(backend="incremental", **shared),
         "process": FedexConfig(backend="process", workers=workers, spill_bytes=0, **shared),
     }
     timings = {}
     for name, config in configs.items():
-        # Warm-up run pays the one-time costs (worker start-up, spill,
-        # thread-pool creation) outside the measured pass.
+        # Warm-up run pays the one-time costs (worker start-up, spill)
+        # outside the measured pass.
         FedexExplainer(config).explain(step, measure="exceptionality")
         report = FedexExplainer(config).explain(step, measure="exceptionality")
         timings[name] = report.timings["contribution"]
-    speedup = timings["threads"] / max(timings["process"], 1e-9)
+    speedup = timings["serial"] / max(timings["process"], 1e-9)
     print(f"\npool comparison on the python-heavy shard mix "
           f"({n_rows:,}-row group-by, exceptionality, {workers} workers)")
-    print(f"{'pool':10s} {'contribution_s':>15s}")
-    for name in ("threads", "process"):
+    print(f"{'backend':10s} {'contribution_s':>15s}")
+    for name in ("serial", "process"):
         print(f"{name:10s} {timings[name]:15.3f}")
-    print(f"process speedup over threads: {speedup:.2f}x")
+    print(f"process speedup over serial: {speedup:.2f}x")
     return {"workers": workers, "n_rows": n_rows,
-            "threads_s": timings["threads"], "process_s": timings["process"],
+            "serial_s": timings["serial"], "process_s": timings["process"],
             "speedup": speedup}
 
 
@@ -200,96 +185,6 @@ def run_batching_comparison(n_rows: int = 4_000, workers: int = 4):
             "unbatched_submits": dispatch["unbatched"]["batches"],
             "batched_s": timings["batched"],
             "batched_submits": dispatch["batched"]["batches"],
-            "speedup": speedup}
-
-
-def _report_scores(report):
-    return {candidate.key(): (candidate.contribution,
-                              candidate.standardized_contribution)
-            for candidate in report.all_candidates}
-
-
-def run_skew_comparison(n_rows: int = 6_000, workers: int = 4):
-    """Adaptive scheduling vs fixed batches on a cost-skewed grid.
-
-    The step is a group-by explained with the exceptionality measure and
-    ``set_counts=(2, 20)``: every pair is an exact-rerun fallback whose
-    cost scales with its partition's set count, so the grid mixes 2-set
-    and 20-set pairs — a ~10× per-pair spread the count-based batches
-    cannot see.  ``fixed`` is the pre-scheduler behaviour (count-auto
-    batches, no stealing); ``adaptive`` sizes batches by predicted cost
-    and lets idle workers steal the stragglers' tails.  Both runs must
-    produce bit-identical reports.
-
-    A second pass exercises the pool-shared structure tier on the
-    wide-grid filter mix: one explain publishes worker-built structures,
-    the pool is then discarded (as a crash would), and the replacement
-    pool's workers must *load* the published structures instead of
-    rebuilding them.
-    """
-    spotify = load_spotify(n_rows, seed=3)
-    step = ExploratoryStep([spotify], GroupBy(
-        "decade", {"popularity": ["mean"], "loudness": ["mean"]}, include_count=True,
-    ))
-    shared = dict(backend="process", workers=workers, spill_bytes=0,
-                  partition_source="all", set_counts=(2, 20), seed=0)
-    configs = {
-        "fixed": FedexConfig(adaptive_batch=False, steal=False, **shared),
-        "adaptive": FedexConfig(adaptive_batch=True, steal=True, **shared),
-    }
-    timings, reports, dispatch = {}, {}, {}
-    for name, config in configs.items():
-        # Warm-up pays worker start-up and the spill outside the measurement.
-        FedexExplainer(config).explain(step, measure="exceptionality")
-        PROCESS_STATS.reset()
-        report = FedexExplainer(config).explain(step, measure="exceptionality")
-        timings[name] = report.timings["contribution"]
-        reports[name] = report
-        dispatch[name] = {"shards": PROCESS_STATS.shards_submitted,
-                          "batches": PROCESS_STATS.batches_submitted,
-                          "steals": PROCESS_STATS.steals,
-                          "stolen_pairs": PROCESS_STATS.stolen_pairs}
-    identical = (
-        reports["fixed"].skyline_keys() == reports["adaptive"].skyline_keys()
-        and _report_scores(reports["fixed"]) == _report_scores(reports["adaptive"])
-    )
-    speedup = timings["fixed"] / max(timings["adaptive"], 1e-9)
-    print(f"\nadaptive scheduling on the skewed grid ({n_rows:,}-row group-by, "
-          f"exceptionality, set_counts=(2, 20), {workers} workers, "
-          f"{dispatch['adaptive']['shards']} grid pairs)")
-    print(f"{'schedule':10s} {'contribution_s':>15s} {'steals':>7s}")
-    for name in ("fixed", "adaptive"):
-        print(f"{name:10s} {timings[name]:15.3f} {dispatch[name]['steals']:7d}")
-    print(f"adaptive speedup over fixed batches: {speedup:.2f}x "
-          f"(scores identical: {identical})")
-
-    # Pool-shared structure tier: publish, discard the pool, reload.
-    filter_step = ExploratoryStep([spotify],
-                                  Filter(Comparison("popularity", ">", 65)))
-    tier_config = FedexConfig(shared_structures=True, **shared)
-    PROCESS_STATS.reset()
-    FedexExplainer(tier_config).explain(filter_step, measure="exceptionality")
-    stores = PROCESS_STATS.shared_structure_stores
-    first_hits = PROCESS_STATS.shared_structure_hits
-    shutdown_process_pools()  # the replacement pool starts with empty caches
-    PROCESS_STATS.reset()
-    FedexExplainer(tier_config).explain(filter_step, measure="exceptionality")
-    reload_hits = PROCESS_STATS.shared_structure_hits
-    print(f"shared structure tier: {stores} published, {first_hits} cross-worker "
-          f"hit(s) first pool, {reload_hits} hit(s) in the replacement pool")
-
-    return {"workers": workers, "n_rows": n_rows,
-            "grid_pairs": dispatch["adaptive"]["shards"],
-            "fixed_s": timings["fixed"],
-            "fixed_batches": dispatch["fixed"]["batches"],
-            "adaptive_s": timings["adaptive"],
-            "adaptive_batches": dispatch["adaptive"]["batches"],
-            "steals": dispatch["adaptive"]["steals"],
-            "stolen_pairs": dispatch["adaptive"]["stolen_pairs"],
-            "scores_identical": identical,
-            "shared_structures": {"stores": stores,
-                                  "cross_worker_hits": first_hits,
-                                  "replacement_pool_hits": reload_hits},
             "speedup": speedup}
 
 
@@ -399,10 +294,10 @@ def main() -> int:
     waiver = _pool_bar_waiver(pool_workers)
     pool["waiver"] = waiver
     if waiver is not None:
-        print(f"WAIVED: process-over-threads bar not enforced — {waiver}")
+        print(f"WAIVED: process-over-serial bar not enforced — {waiver}")
     elif pool["speedup"] < POOL_SPEEDUP_BAR:
         print(f"WARNING: process pool speedup {pool['speedup']:.2f}x is below the "
-              f"{POOL_SPEEDUP_BAR}x bar over threads")
+              f"{POOL_SPEEDUP_BAR}x bar over serial incremental")
         status = 1
     batching = run_batching_comparison(workers=pool_workers)
     batching["waiver"] = waiver
@@ -411,17 +306,6 @@ def main() -> int:
     elif batching["speedup"] < BATCH_SPEEDUP_BAR:
         print(f"WARNING: batched dispatch speedup {batching['speedup']:.2f}x is "
               f"below the {BATCH_SPEEDUP_BAR}x bar over per-pair dispatch")
-        status = 1
-    skew = run_skew_comparison(workers=pool_workers)
-    skew["waiver"] = waiver
-    if not skew["scores_identical"]:
-        print("WARNING: adaptive scheduling changed scores — determinism bug")
-        status = 1
-    if waiver is not None:
-        print(f"WAIVED: adaptive-scheduling bar not enforced — {waiver}")
-    elif skew["speedup"] < SKEW_SPEEDUP_BAR:
-        print(f"WARNING: adaptive scheduling speedup {skew['speedup']:.2f}x is "
-              f"below the {SKEW_SPEEDUP_BAR}x bar over fixed batches")
         status = 1
     overhead = run_tracing_overhead(n_rows)
     if overhead["overhead_fraction"] >= TRACING_OVERHEAD_BAR:
@@ -442,9 +326,8 @@ def main() -> int:
              "speedup": speedup}
             for name, exact, incremental, speedup in results
         ],
-        "pool": pool,
+        "process_pool": pool,
         "shard_batching": batching,
-        "skew": skew,
         "tracing_overhead": overhead,
         "status": status,
     })

@@ -1,15 +1,13 @@
-"""Session-layer benchmark: cold vs warm vs parallel over the workload.
+"""Session-layer benchmark: cold vs warm over the workload.
 
-Runs the 30-query evaluation workload three ways and prints the timings::
+Runs the 30-query evaluation workload twice and prints the timings::
 
     PYTHONPATH=src python benchmarks/bench_session.py [n_rounds]
 
 * **cold** — a fresh :class:`ExplanationSession`, every query explained for
   the first time (full Algorithm 1, plus fingerprinting overhead);
 * **warm** — the *same* session re-explains the identical 30 queries; every
-  request must hit the full-report memo;
-* **parallel** — a fresh session configured with the ``"parallel"``
-  contribution backend (2 workers).
+  request must hit the full-report memo.
 
 Also reports the overlapping-steps scenario the session layer exists for
 (one filter refined five times over the same dataframe, cold engine vs warm
@@ -57,15 +55,10 @@ def run() -> dict:
     cold = _run_workload(session, steps)
     warm = _run_workload(session, steps)
 
-    parallel_session = ExplanationSession(
-        config=FedexConfig(seed=0, backend="parallel", workers=2)
-    )
-    parallel = _run_workload(parallel_session, steps)
-
     print(f"30-query workload, {_SIZES['spotify_rows']:,}-row spotify scale "
           f"(seconds, python {sys.version.split()[0]})")
     print(f"{'mode':10s} {'seconds':>9s} {'vs cold':>9s}")
-    for mode, seconds in (("cold", cold), ("warm", warm), ("parallel", parallel)):
+    for mode, seconds in (("cold", cold), ("warm", warm)):
         print(f"{mode:10s} {seconds:9.3f} {cold / max(seconds, 1e-9):8.1f}x")
     print(f"cache stats: {session.stats.as_dict()}")
 
@@ -92,7 +85,7 @@ def run() -> dict:
           f"({stateless / max(stateful, 1e-9):.1f}x); "
           f"partition hits {refine_session.stats.partition_hits}")
 
-    return {"cold": cold, "warm": warm, "parallel": parallel,
+    return {"cold": cold, "warm": warm,
             "warm_speedup": cold / max(warm, 1e-9)}
 
 

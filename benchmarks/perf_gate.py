@@ -31,6 +31,11 @@ stay enabled:
   results with a ``waiver`` string (e.g. a process-pool comparison on a
   single-core host); a subtree whose ``waiver`` is non-None is invisible
   to the gate, in the latest run and in baselines alike.
+* **Failed runs are never a baseline.**  A run whose recorded ``status``
+  is non-zero failed its own bench's bars, so its numbers cannot be a bar
+  for later runs; it is left out of every baseline.  A *latest* run with a
+  non-zero ``status`` gets one failing ``status`` verdict instead of
+  field-by-field judging.
 * **Thin history passes.**  With fewer than ``min_runs`` prior comparable
   runs the field is reported as ``skipped`` rather than judged — a fresh
   host or a fresh ratio field must not fail CI for lacking a past.
@@ -42,7 +47,8 @@ Usage::
     python benchmarks/perf_gate.py --dir ci-artifacts --threshold 0.75
 
 Exit status: 0 when nothing regressed (including "no history"), 1 when at
-least one ratio field regressed past the threshold.
+least one ratio field regressed past the threshold or the latest run of an
+area recorded a non-zero ``status``.
 """
 
 from __future__ import annotations
@@ -86,7 +92,7 @@ class Verdict:
 
     area: str
     field: str
-    status: str  # "ok" | "regressed" | "skipped"
+    status: str  # "ok" | "regressed" | "skipped" | "failed"
     latest: Optional[float] = None
     baseline: Optional[float] = None
     detail: str = ""
@@ -94,6 +100,8 @@ class Verdict:
     def render(self) -> str:
         if self.status == "skipped":
             return f"SKIP  {self.area}:{self.field}  {self.detail}"
+        if self.status == "failed":
+            return f"FAIL  {self.area}:{self.field}  {self.detail}"
         ratio = self.latest / self.baseline if self.baseline else float("inf")
         tag = "ok  " if self.status == "ok" else "FAIL"
         return (f"{tag}  {self.area}:{self.field}  latest={self.latest:.3f} "
@@ -114,6 +122,11 @@ def host_key(run: Dict[str, object]) -> Tuple[str, str, str, bool]:
         str(host.get("machine", "?")),
         bool(host.get("gil_disabled", False)),
     )
+
+
+def run_failed(run: Dict[str, object]) -> bool:
+    """Whether a run recorded a non-zero ``status`` (it failed its own bars)."""
+    return bool(run.get("status", 0))
 
 
 def ratio_fields(payload: object, prefix: str = "") -> Iterator[Tuple[str, float]]:
@@ -235,8 +248,13 @@ def gate_area(area: str, directory: Optional[Path] = None,
     if not runs:
         return [Verdict(area, "*", "skipped", detail="no recorded runs")]
     latest = runs[-1]
+    if run_failed(latest):
+        return [Verdict(area, "status", "failed",
+                        detail=f"latest run recorded status {latest['status']!r}: "
+                               "it failed its own bench's bars")]
     key = host_key(latest)
-    history = [run for run in runs[:-1] if host_key(run) == key]
+    history = [run for run in runs[:-1]
+               if host_key(run) == key and not run_failed(run)]
 
     verdicts: List[Verdict] = []
     for field, value in ratio_fields(latest):
@@ -306,11 +324,12 @@ def main(argv: Optional[List[str]] = None) -> int:
                                  min_runs=options.min_runs,
                                  decay=options.decay):
             print(verdict.render())
-            if verdict.status == "regressed":
+            if verdict.status in ("regressed", "failed"):
                 failures += 1
     if failures:
-        print(f"\nperf gate FAILED: {failures} ratio field(s) regressed more "
-              f"than {100 * (1 - options.threshold):.0f}% below the trailing median")
+        print(f"\nperf gate FAILED: {failures} failed run(s) or ratio field(s) "
+              f"regressed more than {100 * (1 - options.threshold):.0f}% below "
+              "the trailing median")
         return 1
     print("\nperf gate passed")
     return 0

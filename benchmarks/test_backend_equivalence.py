@@ -3,11 +3,9 @@
 The acceptance bar of the backend layer: on every workload query the
 incremental backend must reproduce the exact rerun backend — identical
 skyline keys and candidate pools, contribution scores within ``1e-9`` —
-while spending less wall-clock time in the contribution phase, and the
-parallel backend must be deterministic: identical skylines and scores
-within ``1e-9`` of the serial incremental backend regardless of worker
-count.  Prints a per-query comparison table with the per-backend
-contribution-phase timings and the speedup.
+while spending less wall-clock time in the contribution phase.  Prints a
+per-query comparison table with the per-backend contribution-phase timings
+and the speedup.
 
 The storage layer's acceptance bar rides in the same harness: every query
 re-run against tables opened from a :class:`~repro.storage.DatasetStore`
@@ -20,12 +18,12 @@ The process backend has two passes of its own: the 30 queries over
 to the workers as mmap descriptors — ``spill_bytes=0`` forces every input
 through the spill path) and over *store-backed* tables (descriptors minted
 straight off the dataset store, no spill); both must match the serial
-incremental backend — identical skylines, scores within ``1e-9``.
+incremental backend — identical skylines, scores within ``1e-9``.  The
+in-memory pass runs at every shard batch size in {1, 3, automatic}.
 
-The worker count defaults to 2 and can be overridden with the
+The process worker count defaults to 2 and can be overridden with the
 ``REPRO_WORKERS`` environment variable (the CI matrix runs this suite with
-``REPRO_WORKERS=2`` on every python version; the ``backend-process`` job
-re-runs it with 2 process workers).
+``REPRO_WORKERS=4`` on one job).
 """
 
 from __future__ import annotations
@@ -70,29 +68,14 @@ def _compare_backends(registry):
         step = query.build_step(registry)
         exact = FedexExplainer(FedexConfig(backend="exact", seed=0)).explain(step)
         incremental = FedexExplainer(FedexConfig(backend="incremental", seed=0)).explain(step)
-        parallel = FedexExplainer(
-            FedexConfig(backend="parallel", workers=_workers(), seed=0)
-        ).explain(step)
-        # The same pool with forced tiny batches: batching may change how
-        # jobs are cut, never a float.
-        batched = FedexExplainer(
-            FedexConfig(backend="parallel", workers=_workers(), shard_batch=3, seed=0)
-        ).explain(step)
-
-        incremental_scores = _scores(incremental)
         rows.append({
             "query": query.number,
             "dataset": query.dataset,
             "kind": query.kind,
             "skyline_equal": exact.skyline_keys() == incremental.skyline_keys(),
-            "parallel_skyline_equal": incremental.skyline_keys() == parallel.skyline_keys(),
-            "batched_skyline_equal": incremental.skyline_keys() == batched.skyline_keys(),
-            "max_score_delta": _max_delta(_scores(exact), incremental_scores),
-            "parallel_delta": _max_delta(incremental_scores, _scores(parallel)),
-            "batched_delta": _max_delta(incremental_scores, _scores(batched)),
+            "max_score_delta": _max_delta(_scores(exact), _scores(incremental)),
             "exact_s": exact.timings.get("contribution", 0.0),
             "incremental_s": incremental.timings.get("contribution", 0.0),
-            "parallel_s": parallel.timings.get("contribution", 0.0),
         })
     for row in rows:
         row["speedup"] = row["exact_s"] / max(row["incremental_s"], 1e-9)
@@ -101,30 +84,12 @@ def _compare_backends(registry):
 
 def test_backend_equivalence_over_workload(benchmark, bench_registry):
     rows = run_once(benchmark, _compare_backends, bench_registry)
-    print_table(rows, title="Exact vs incremental vs parallel over the 30-query workload")
+    print_table(rows, title="Exact vs incremental over the 30-query workload")
     assert len(rows) == 30
     mismatched = [row["query"] for row in rows if not row["skyline_equal"]]
     assert not mismatched, f"queries with diverging skylines: {mismatched}"
     drifted = [row["query"] for row in rows if not row["max_score_delta"] <= 1e-9]
     assert not drifted, f"queries with score drift above 1e-9: {drifted}"
-    # Determinism of the parallel backend against its serial counterpart.
-    parallel_mismatched = [row["query"] for row in rows if not row["parallel_skyline_equal"]]
-    assert not parallel_mismatched, (
-        f"queries where parallel skylines diverge: {parallel_mismatched}"
-    )
-    parallel_drifted = [row["query"] for row in rows if not row["parallel_delta"] <= 1e-9]
-    assert not parallel_drifted, (
-        f"queries with parallel score drift above 1e-9: {parallel_drifted}"
-    )
-    # Shard batching on the thread pool must be invisible to the results.
-    batched_mismatched = [row["query"] for row in rows if not row["batched_skyline_equal"]]
-    assert not batched_mismatched, (
-        f"queries where batched-parallel skylines diverge: {batched_mismatched}"
-    )
-    batched_drifted = [row["query"] for row in rows if not row["batched_delta"] <= 1e-9]
-    assert not batched_drifted, (
-        f"queries with batched-parallel score drift above 1e-9: {batched_drifted}"
-    )
     # The incremental backend should win in aggregate (per-query timings can
     # be noisy for the smallest steps, the total must not be).
     total_exact = sum(row["exact_s"] for row in rows)

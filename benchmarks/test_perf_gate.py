@@ -143,6 +143,28 @@ class TestGateArea:
         (verdict,) = gate_area("backends", directory=tmp_path)
         assert verdict.status == "skipped"
 
+    def test_failed_runs_leave_the_baseline(self, tmp_path):
+        # Three clean runs at 10 and three failed runs at 1: only the clean
+        # runs form the baseline, so a latest of 5 regresses.  Were the
+        # failed runs counted, the median would be 1 and 5 would pass.
+        runs = [{"warm_speedup": 10.0, "status": 0} for _ in range(3)]
+        runs += [{"warm_speedup": 1.0, "status": 1} for _ in range(3)]
+        runs.append({"warm_speedup": 5.0, "status": 0})
+        write_area(tmp_path, "session", runs)
+        (verdict,) = gate_area("session", directory=tmp_path)
+        assert verdict.status == "regressed"
+        assert verdict.baseline == pytest.approx(10.0)
+
+    def test_failed_latest_run_gets_one_failing_verdict(self, tmp_path, capsys):
+        # Its ratio fields look healthy, but the bench itself failed.
+        runs = [{"warm_speedup": 10.0, "status": 0} for _ in range(4)]
+        runs.append({"warm_speedup": 12.0, "status": 1})
+        write_area(tmp_path, "session", runs)
+        verdicts = gate_area("session", directory=tmp_path)
+        assert statuses(verdicts) == {("status", "failed")}
+        assert main(["--dir", str(tmp_path), "--areas", "session"]) == 1
+        assert "FAIL  session:status" in capsys.readouterr().out
+
     def test_empty_trajectory_skips(self, tmp_path):
         verdicts = gate_area("backends", directory=tmp_path)
         assert statuses(verdicts) == {("*", "skipped")}
@@ -274,6 +296,8 @@ def test_verdict_render_shapes():
     ok = Verdict("a", "f", "ok", latest=2.0, baseline=2.0)
     fail = Verdict("a", "f", "regressed", latest=1.0, baseline=2.0)
     skip = Verdict("a", "f", "skipped", detail="thin history")
+    failed = Verdict("a", "status", "failed", detail="status 1")
     assert "ratio=1.00" in ok.render()
     assert fail.render().startswith("FAIL")
     assert "thin history" in skip.render()
+    assert failed.render() == "FAIL  a:status  status 1"

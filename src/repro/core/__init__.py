@@ -4,7 +4,6 @@ from .backends import (
     ContributionBackend,
     ExactRerunBackend,
     IncrementalBackend,
-    ParallelBackend,
     ProcessBackend,
     available_backends,
     make_backend,
@@ -78,7 +77,6 @@ __all__ = [
     "MappingPartitioner",
     "MeasureRegistry",
     "NumericBinningPartitioner",
-    "ParallelBackend",
     "ProcessBackend",
     "Partitioner",
     "RowPartition",

@@ -9,26 +9,23 @@ stable while the execution strategy behind Definition 3.3 is swappable via
 * ``"incremental"`` — :class:`IncrementalBackend`, batched derivation from
   precomputed per-group partials, row provenance, and shared argsorts (the
   default);
-* ``"parallel"`` — :class:`ParallelBackend`, shards the partition ×
-  attribute grid across a thread pool, each shard served by an embedded
-  incremental backend (``FedexConfig(workers=...)`` picks the pool size);
-* ``"process"`` — :class:`ProcessBackend`, the same grid sharding over a
-  process pool for Python-heavy shard mixes the GIL serializes: inputs
-  travel as mmap frame descriptors (``FedexConfig(spill_bytes=...)``
-  governs spilling of in-memory inputs).
+* ``"process"`` — :class:`ProcessBackend`, shards the partition ×
+  attribute grid across a process pool, each shard served by an embedded
+  incremental backend: inputs travel as mmap frame descriptors
+  (``FedexConfig(workers=...)`` picks the pool size,
+  ``FedexConfig(shard_batch=...)`` the pairs per submitted job, and
+  ``FedexConfig(spill_bytes=...)`` governs spilling of in-memory inputs).
 """
 
 from .base import ContributionBackend, available_backends, make_backend
 from .exact import ExactRerunBackend
 from .incremental import IncrementalBackend
-from .parallel import ParallelBackend
 from .process import ProcessBackend, shutdown_process_pools
 
 __all__ = [
     "ContributionBackend",
     "ExactRerunBackend",
     "IncrementalBackend",
-    "ParallelBackend",
     "ProcessBackend",
     "available_backends",
     "make_backend",

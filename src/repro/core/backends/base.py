@@ -14,12 +14,10 @@ computed:
   operation's structure (per-group partial aggregates, row-provenance
   slicing, shared argsorts, batched KS) to derive every intervention of a
   partition without re-running anything;
-* :class:`~repro.core.backends.parallel.ParallelBackend` shards the
-  partition × attribute grid across a thread pool, delegating each shard to
-  an embedded incremental backend;
-* :class:`~repro.core.backends.process.ProcessBackend` shards the same grid
-  across a *process* pool for the Python-heavy mixes the GIL serializes,
-  shipping inputs as mmap frame descriptors instead of pickled data.
+* :class:`~repro.core.backends.process.ProcessBackend` shards the
+  partition × attribute grid across a *process* pool, delegating each shard
+  to an embedded incremental backend and shipping inputs as mmap frame
+  descriptors instead of pickled data.
 
 Backends are stateful per step: they are constructed once per
 ``(step, measure)`` pair and may precompute and cache whatever sharable
@@ -30,7 +28,6 @@ from __future__ import annotations
 
 import inspect
 import math
-import os
 from abc import ABC, abstractmethod
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Type, Union
 
@@ -54,23 +51,13 @@ def resolve_shard_batch(shard_batch: Optional[int], grid_size: int,
                         oversubscription: int = DEFAULT_OVERSUBSCRIPTION) -> int:
     """The effective shard-batch size for one contribution grid.
 
-    An explicit ``shard_batch`` (config knob / prefetch hint) wins; ``None``
-    consults the ``REPRO_SHARD_BATCH`` environment variable (CI sweeps), and
-    failing that falls back to the automatic policy
+    An explicit ``shard_batch`` (``FedexConfig.shard_batch``) wins; ``None``
+    falls back to the automatic policy
     ``ceil(grid_size / (workers × oversubscription))`` — every worker gets
     roughly ``oversubscription`` batches, so one pickle/submit/result round
     carries many (partition, attribute) pairs without starving the pool of
     load-balancing slack.  Always at least 1.
     """
-    if shard_batch is None:
-        env = os.environ.get("REPRO_SHARD_BATCH")
-        if env:
-            try:
-                shard_batch = int(env)
-            except ValueError:
-                raise ExplanationError(
-                    f"REPRO_SHARD_BATCH={env!r} is not an integer"
-                ) from None
     if shard_batch is not None:
         return max(1, int(shard_batch))
     if grid_size <= 0:
@@ -78,34 +65,11 @@ def resolve_shard_batch(shard_batch: Optional[int], grid_size: int,
     return max(1, math.ceil(grid_size / max(workers * oversubscription, 1)))
 
 
-def resolve_flag(value: Optional[bool], env_name: str, default: bool) -> bool:
-    """Resolve a tri-state backend flag: explicit value > environment > default.
-
-    The scheduling knobs (``adaptive_batch`` / ``steal`` /
-    ``shared_structures``) follow the ``shard_batch`` precedence: a config
-    value set either way wins, ``None`` consults the environment variable
-    (CI sweeps), and an unset environment falls back to the built-in
-    default.  Unparseable environment values raise — a typoed CI variable
-    must not silently pick a policy.
-    """
-    if value is not None:
-        return bool(value)
-    env = os.environ.get(env_name)
-    if env is None or env == "":
-        return default
-    lowered = env.strip().lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise ExplanationError(f"{env_name}={env!r} is not a boolean flag")
-
-
 def iter_shard_batches(grid: Sequence[Tuple[RowPartition, str]],
                        batch_size: int) -> Iterator[Sequence[Tuple[RowPartition, str]]]:
     """Consecutive ``batch_size``-sized slices of the grid, in grid order.
 
-    Order is load-bearing for determinism bookkeeping: every pooled backend
+    Order is load-bearing for determinism bookkeeping: the process backend
     keys results by (partition identity, attribute), and slicing — rather
     than striding — keeps each batch's pairs adjacent, so a failed batch
     retried serially walks the pairs in exactly the order the engine will
@@ -150,22 +114,15 @@ class ContributionBackend(ABC):
         return [self.contribution(row_set, attribute, baseline) for row_set in partition.sets]
 
     def prefetch(self, grid: Sequence[Tuple[RowPartition, str]],
-                 baselines: Dict[str, float],
-                 batch_hint: Optional[int] = None) -> None:
+                 baselines: Dict[str, float]) -> None:
         """Announce the full partition × attribute grid of the contribution phase.
 
         The engine calls this once, before asking for any
         :meth:`partition_contributions`, with every ``(partition, attribute)``
         pair it is about to request and the per-attribute baselines.  The
-        default is a no-op; backends that shard work across an executor (the
-        parallel and process backends) override it to start computing the
-        whole grid concurrently so the subsequent per-pair calls become waits
-        on already-running work.
-
-        ``batch_hint`` is the caller's shard-batch preference (the value of
-        ``FedexConfig.shard_batch``): how many grid pairs one submitted job
-        should carry.  ``None`` lets the backend decide (see
-        :func:`resolve_shard_batch`); serial backends ignore it entirely.
+        default is a no-op; the process backend overrides it to start
+        computing the whole grid concurrently so the subsequent per-pair
+        calls become waits on already-running work.
         """
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -176,13 +133,11 @@ def available_backends() -> Dict[str, Type[ContributionBackend]]:
     """Mapping from backend name to backend class."""
     from .exact import ExactRerunBackend
     from .incremental import IncrementalBackend
-    from .parallel import ParallelBackend
     from .process import ProcessBackend
 
     return {
         ExactRerunBackend.name: ExactRerunBackend,
         IncrementalBackend.name: IncrementalBackend,
-        ParallelBackend.name: ParallelBackend,
         ProcessBackend.name: ProcessBackend,
     }
 
@@ -204,7 +159,7 @@ def make_backend(backend: Union[str, ContributionBackend, Type[ContributionBacke
     """Resolve a backend specification into a backend instance for one step.
 
     ``backend`` may be a registered name (``"exact"`` / ``"incremental"`` /
-    ``"parallel"``), a :class:`ContributionBackend` subclass, or an
+    ``"process"``), a :class:`ContributionBackend` subclass, or an
     already-constructed instance (returned as-is — useful for tests that want
     to inspect backend state).  ``options`` carries optional keyword
     arguments (``workers``, ``context``, ...); each is forwarded only to

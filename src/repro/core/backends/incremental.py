@@ -71,16 +71,6 @@ from .exact import ExactRerunBackend
 
 _UNSET = object()
 
-#: Plan type name → cost class of :meth:`IncrementalBackend.plan_class`
-#: (the batch planner's vocabulary; ``None`` plans are ``"exact"``).
-_PLAN_CLASSES = {
-    "_ConstantScorePlan": "constant",
-    "_GroupByAggregatePlan": "groupby",
-    "_SliceExceptionalityPlan": "slice",
-    "_SliceDiversityPlan": "slice",
-    "_LeftJoinRightPlan": "leftjoin",
-}
-
 
 class IncrementalBackend(ContributionBackend):
     """Derives all interventions of a step from shared precomputed structure.
@@ -183,43 +173,6 @@ class IncrementalBackend(ContributionBackend):
             return _SliceDiversityPlan(self.step, attribute, input_index,
                                        sources[input_index])
         return None
-
-    def plan_class(self, input_index: int, attribute: str) -> str:
-        """Cheap cost class of one ``(input, attribute)`` pair.
-
-        Mirrors the branch structure of :meth:`_build_plan` without building
-        a plan object, so the batch planner
-        (:func:`~repro.core.backends.costs.plan_batches`) can price a whole
-        grid before any heavy structure exists.  Returns one of
-        ``"constant"`` / ``"groupby"`` / ``"slice"`` / ``"leftjoin"`` /
-        ``"exact"`` — an already-built plan answers from its type, so the
-        classification never disagrees with a plan the backend holds.
-        """
-        plan = self._plans.get((input_index, attribute), _UNSET)
-        if plan is not _UNSET:
-            if plan is None:
-                return "exact"
-            return _PLAN_CLASSES.get(type(plan).__name__, "slice")
-        measure_type = type(self.measure)
-        operation = self.step.operation
-        if (measure_type is DiversityMeasure and isinstance(operation, GroupBy)
-                and input_index == 0):
-            if operation.decomposable_aggregates() is None:
-                return "exact"
-            if (attribute not in self.step.output
-                    or attribute not in operation.decomposable_aggregates()):
-                return "constant"
-            return "groupby"
-        sources = self._sources()
-        if sources is None or input_index >= len(sources) or sources[input_index] is None:
-            if (measure_type in (ExceptionalityMeasure, DiversityMeasure)
-                    and isinstance(operation, Join) and operation.how == "left"
-                    and input_index == 1):
-                return "leftjoin"
-            return "exact"
-        if measure_type in (ExceptionalityMeasure, DiversityMeasure):
-            return "slice"
-        return "exact"
 
     def _sources(self) -> Optional[List[Optional[np.ndarray]]]:
         if self._row_sources is _UNSET:

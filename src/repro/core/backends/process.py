@@ -1,10 +1,10 @@
 """The process-pool contribution backend over shared mmap frames.
 
-:class:`ParallelBackend` sharded the partition × attribute grid across
-*threads*, which wins exactly as far as the shards release the GIL.  The
-Python-heavy shard mixes — wide grids of small partitions, mixed-regime KS,
-exact-rerun fallbacks — serialize on it, and the ROADMAP's answer is this
-backend: the same grid sharding over a ``ProcessPoolExecutor``.
+The contribution phase evaluates a grid of independent ``(partition,
+attribute)`` pairs.  :class:`ProcessBackend` shards that grid over a
+``ProcessPoolExecutor``, so the Python-heavy shard mixes — wide grids of
+small partitions, mixed-regime KS, exact-rerun fallbacks — run in parallel
+instead of serializing on the GIL.
 
 The thing that makes processes affordable is the storage layer.  A worker
 never receives a pickled dataframe; it receives a
@@ -58,7 +58,6 @@ shared pool is discarded so later requests get a fresh one.
 
 from __future__ import annotations
 
-import array
 import atexit
 import os
 import pickle
@@ -69,7 +68,7 @@ import threading
 import time
 import uuid
 from collections import OrderedDict
-from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
+from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from pathlib import Path
@@ -77,24 +76,19 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import multiprocessing
 
-try:  # POSIX advisory locks guard the work-stealing board between processes
-    import fcntl
-    _HAVE_FCNTL = True
-except ImportError:  # pragma: no cover - non-POSIX hosts fall back to batches
-    _HAVE_FCNTL = False
-
 from ...errors import StorageError
 from ...obs.metrics import REGISTRY, MetricsRegistry, registry_delta
 from ...obs.trace import NOOP_TRACER, Tracer, current_tracer
 from ...operators.operations import MEASURE_DIVERSITY, MEASURE_EXCEPTIONALITY
 from ..interestingness import DiversityMeasure, ExceptionalityMeasure
 from ..partition import RowPartition, RowSet
-from .base import ContributionBackend, resolve_flag
-from .costs import history_key, pair_key, plan_batches
+from .base import ContributionBackend, iter_shard_batches, resolve_shard_batch
 from .incremental import IncrementalBackend
-from .parallel import DEFAULT_WORKERS
 
 _MISSING = object()
+
+#: Worker count used when the caller does not pick one explicitly.
+DEFAULT_WORKERS = min(4, os.cpu_count() or 1)
 
 #: Default spill threshold: in-memory inputs smaller than this run serially
 #: (the fork/IPC overhead dwarfs any GIL win on tiny frames); larger ones are
@@ -125,8 +119,7 @@ class ProcessPoolStats:
 
     __slots__ = ("shards_submitted", "shards_completed", "batches_submitted",
                  "serial_retries", "serial_fallbacks", "structure_hits",
-                 "structure_misses", "steals", "stolen_pairs",
-                 "shared_structure_hits", "shared_structure_stores")
+                 "structure_misses")
 
     def __init__(self) -> None:
         self.reset()
@@ -139,10 +132,6 @@ class ProcessPoolStats:
         self.serial_fallbacks = 0
         self.structure_hits = 0
         self.structure_misses = 0
-        self.steals = 0
-        self.stolen_pairs = 0
-        self.shared_structure_hits = 0
-        self.shared_structure_stores = 0
 
     def as_dict(self) -> Dict[str, int]:
         return {
@@ -153,10 +142,6 @@ class ProcessPoolStats:
             "serial_fallbacks": self.serial_fallbacks,
             "structure_hits": self.structure_hits,
             "structure_misses": self.structure_misses,
-            "steals": self.steals,
-            "stolen_pairs": self.stolen_pairs,
-            "shared_structure_hits": self.shared_structure_hits,
-            "shared_structure_stores": self.shared_structure_stores,
         }
 
     def snapshot(self) -> Dict[str, int]:
@@ -189,14 +174,14 @@ def _collect_process_metrics():
 REGISTRY.register_collector("process_stats", _collect_process_metrics)
 
 #: Parent-side dispatch histogram: submit-to-first-result wall time of each
-#: batch/queue job, labeled by worker pid once the result lands.
+#: batch, labeled by worker pid once the result lands.
 _BATCH_SECONDS = REGISTRY.histogram(
     "repro_process_batch_seconds",
     "Submit-to-result wall time of one process-backend batch, by worker.",
     ("worker",))
 
 #: Worker-process-local registry: each batch records its per-pair compute
-#: histogram and structure-tier counters here; a per-batch delta
+#: histogram and structure-cache counters here; a per-batch delta
 #: (:func:`~repro.obs.metrics.registry_delta`) ships home in the batch
 #: stats, and the parent merges it into the global :data:`REGISTRY` under a
 #: ``worker`` label — so process-backend runs show up in the same
@@ -207,19 +192,16 @@ _WORKER_PAIR_SECONDS = WORKER_REGISTRY.histogram(
     "Per-pair contribution compute time inside one pool worker.")
 _WORKER_BATCH_SECONDS = WORKER_REGISTRY.histogram(
     "repro_worker_batch_seconds",
-    "Wall time of one batch/queue job inside a pool worker.")
+    "Wall time of one batch inside a pool worker.")
 _WORKER_STRUCTURE_EVENTS = WORKER_REGISTRY.counter(
     "repro_worker_structure_events_total",
-    "Structure-tier cache events in a pool worker (private LRU and "
-    "pool-shared store).",
+    "Structure-cache events in a pool worker's private LRU.",
     ("tier", "event"))
 
-#: structure-delta key → (tier, event) label pair on the worker counter.
+#: structure-delta key → event label on the worker counter.
 _STRUCTURE_EVENT_LABELS = (
-    ("structure_hits", ("local", "hit")),
-    ("structure_misses", ("local", "miss")),
-    ("shared_structure_hits", ("shared", "hit")),
-    ("shared_structure_stores", ("shared", "store")),
+    ("structure_hits", "hit"),
+    ("structure_misses", "miss"),
 )
 
 
@@ -238,9 +220,6 @@ class StepSpec:
     measure: str
     ks_budget_bytes: Optional[int]
     label: Optional[str] = None
-    #: Directory of the pool-shared structure tier; ``None`` keeps workers
-    #: on their private LRUs only.
-    structure_dir: Optional[str] = None
 
 
 class ProcessBackend(ContributionBackend):
@@ -262,32 +241,15 @@ class ProcessBackend(ContributionBackend):
         batched-KS chunking is identical on both sides.
     shard_batch:
         Grid pairs per submitted batch (``FedexConfig.shard_batch``);
-        ``None`` resolves ``REPRO_SHARD_BATCH`` and then the automatic
-        policy — see :func:`~repro.core.backends.base.resolve_shard_batch`.
+        ``None`` uses the automatic policy — see
+        :func:`~repro.core.backends.base.resolve_shard_batch`.
     spill_bytes:
         Spill threshold for in-memory inputs (see module docstring);
         ``None`` uses :data:`DEFAULT_SPILL_BYTES`, ``0`` spills everything.
-    adaptive_batch:
-        Cost-model batch sizing (:func:`~repro.core.backends.costs.plan_batches`):
-        batches cover roughly equal predicted cost instead of equal pair
-        counts.  ``None`` resolves ``REPRO_ADAPTIVE_BATCH``, then on.
-    steal:
-        Work-stealing between pool workers over a shared on-disk board;
-        ``None`` resolves ``REPRO_STEAL``, then off.  Requires ``fcntl``
-        (POSIX); elsewhere the backend silently keeps batched dispatch.
-    shared_structures:
-        Pool-shared structure tier: worker-built structures are published
-        to a content-addressed :class:`~repro.storage.structures.StructureStore`
-        shared by every worker (and post-crash replacement pools).
-        ``None`` resolves ``REPRO_SHARED_STRUCTURES``, then off.
     crash_shards:
         Test hook: the first ``crash_shards`` submitted *batches* SIGKILL
         their worker mid-batch, exercising the crash-recovery path
-        deterministically.  Under stealing, the first queue job dies after
-        computing one pair.
-    crash_after_steal:
-        Test hook: a worker SIGKILLs itself immediately after a successful
-        steal, exercising the crash-mid-steal recovery path.
+        deterministically.
     """
 
     name = "process"
@@ -296,32 +258,22 @@ class ProcessBackend(ContributionBackend):
                  ks_budget_bytes: Optional[int] = None,
                  shard_batch: Optional[int] = None,
                  spill_bytes: Optional[int] = None,
-                 adaptive_batch: Optional[bool] = None,
-                 steal: Optional[bool] = None,
-                 shared_structures: Optional[bool] = None,
-                 crash_shards: int = 0,
-                 crash_after_steal: bool = False) -> None:
+                 crash_shards: int = 0) -> None:
         super().__init__(step, measure)
         self.workers = int(workers) if workers else DEFAULT_WORKERS
         if self.workers < 1:
             self.workers = 1
         self.shard_batch = shard_batch
         self.spill_bytes = DEFAULT_SPILL_BYTES if spill_bytes is None else int(spill_bytes)
-        self.adaptive_batch = resolve_flag(adaptive_batch, "REPRO_ADAPTIVE_BATCH", True)
-        self.steal = resolve_flag(steal, "REPRO_STEAL", False)
-        self.shared_structures = resolve_flag(shared_structures,
-                                              "REPRO_SHARED_STRUCTURES", False)
         self._inner = IncrementalBackend(step, measure, context=context,
                                          ks_budget_bytes=ks_budget_bytes)
-        self._context = context
         self._ks_budget_bytes = ks_budget_bytes
         self._crash_shards = int(crash_shards)
-        self._crash_after_steal = bool(crash_after_steal)
         #: Worker-side state cache key of this backend instance.
         self._token = uuid.uuid4().hex
-        # Values pin the partition to keep its id reserved, exactly as in
-        # ParallelBackend._futures; the index selects this pair's slot in
-        # the batch future's result list.
+        # Values pin the partition to keep its id reserved (a recycled id
+        # would alias a different partition); the index selects this pair's
+        # slot in the batch future's result list.
         self._futures: Dict[Tuple[int, str], Tuple[RowPartition, Future, int]] = {}
         # Batch futures whose worker-side structure counters were already
         # folded into the stats (each batch reports once, but is consumed
@@ -334,44 +286,23 @@ class ProcessBackend(ContributionBackend):
         # per-future submit timestamps for the batch span timings.
         self._tracer = NOOP_TRACER
         self._trace_parent = None
-        # (submit perf_counter, n_pairs, batch pair list or None for queue
-        # jobs) — pair lists attribute measured per-pair seconds to keys.
-        self._batch_meta: Dict[Future, Tuple[float, int, Optional[list]]] = {}
+        # Future → (submit perf_counter, pairs in the batch).
+        self._batch_meta: Dict[Future, Tuple[float, int]] = {}
         #: Why the backend stayed (or fell back to) serial; None while the
         #: process path is active.  Observability for tests and operators.
         self.fallback_reason: Optional[str] = None
-        #: How the batch planner sized this grid's batches
-        #: (``fixed``/``env``/``count-auto``/``cost-static``/``cost-history``).
-        self.batch_policy: Optional[str] = None
+        #: Grid pairs per submitted batch (resolved at prefetch).
+        self.batch_size: Optional[int] = None
         self.shards_submitted = 0
         self.shards_completed = 0
         self.batches_submitted = 0
         self.serial_retries = 0
         self.structure_hits = 0
         self.structure_misses = 0
-        self.steals = 0
-        self.stolen_pairs = 0
-        self.shared_structure_hits = 0
-        self.shared_structure_stores = 0
-        # Work-stealing queue state: the published board directory, the
-        # pinned flat payload, pair-key → payload-index bookkeeping, merged
-        # results, and the outstanding queue-job futures.
-        self._queue_board: Optional[Path] = None
-        self._queue_payload: Optional[list] = None
-        self._queue_index: Dict[Tuple[int, str], int] = {}
-        self._queue_results: Dict[int, object] = {}
-        self._queue_futures: List[Future] = []
-        self._queue_error_kind: Optional[str] = None
-        self._queue_finalized = False
-        # Measured per-pair seconds awaiting a flush into the session's
-        # cost history (merge-on-write via context.store_pair_costs).
-        self._pending_costs: Dict[Tuple, float] = {}
-        self._history_key: Optional[Tuple] = None
 
     # ------------------------------------------------------------------ public
     def prefetch(self, grid: Sequence[Tuple[RowPartition, str]],
-                 baselines: Dict[str, float],
-                 batch_hint: Optional[int] = None) -> None:
+                 baselines: Dict[str, float]) -> None:
         """Shard the partition × attribute grid across the worker processes.
 
         The grid is cut into :func:`resolve_shard_batch`-sized batches and
@@ -407,25 +338,12 @@ class ProcessBackend(ContributionBackend):
             self._pool = pool
             pending = [(partition, attribute) for partition, attribute in grid
                        if (id(partition), attribute) not in self._futures]
-            hint = batch_hint if batch_hint is not None else self.shard_batch
-            plan = plan_batches(pending, workers=self.workers,
-                                inner=self._inner, shard_batch=hint,
-                                adaptive=self.adaptive_batch,
-                                history=self._load_history())
-            self.batch_policy = plan.policy
-            pspan.set("batch_policy", plan.policy)
-            if plan.batches:
-                pspan.set("batch_size", len(plan.batches[0]))
+            self.batch_size = resolve_shard_batch(self.shard_batch, len(pending),
+                                                  self.workers)
+            pspan.set("batch_size", self.batch_size)
             traced = tracer.enabled
-            stealing = self.steal and _HAVE_FCNTL and len(pending) > 1
-            pspan.set("steal", stealing)
-            if stealing:
-                self._prefetch_stealing(pool, spec_blob, plan, baselines,
-                                        pspan, traced)
-                pspan.set("batches", self.batches_submitted)
-                return
             crash_left = self._crash_shards
-            for batch in plan.batches:
+            for batch in iter_shard_batches(pending, self.batch_size):
                 crash = crash_left > 0
                 if crash:
                     crash_left -= 1
@@ -444,8 +362,7 @@ class ProcessBackend(ContributionBackend):
                     pspan.set("fallback_reason", self.fallback_reason)
                     _discard_pool(self.workers, pool)
                     break
-                self._batch_meta[future] = (time.perf_counter(), len(batch),
-                                            list(batch))
+                self._batch_meta[future] = (time.perf_counter(), len(batch))
                 for index, (partition, attribute) in enumerate(batch):
                     self._futures[(id(partition), attribute)] = (partition, future, index)
                 self.batches_submitted += 1
@@ -454,87 +371,8 @@ class ProcessBackend(ContributionBackend):
                 PROCESS_STATS.shards_submitted += len(batch)
             pspan.set("batches", self.batches_submitted)
 
-    def _load_history(self) -> Optional[Dict[Tuple, float]]:
-        """The session's measured pair costs for this step, if it keeps any."""
-        hook = getattr(self._context, "pair_costs", None)
-        if hook is None or not self.adaptive_batch:
-            return None
-        try:
-            if self._history_key is None:
-                self._history_key = history_key(self.step)
-            return hook(self._history_key) or None
-        except Exception:
-            return None
-
-    def _prefetch_stealing(self, pool, spec_blob: bytes, plan, baselines,
-                           pspan, traced: bool) -> None:
-        """Publish the grid onto a shared board and start one job per worker.
-
-        Each queue job loops claim-compute until the board drains, stealing
-        half of the largest in-flight remainder once no unclaimed batch is
-        left (see :class:`_BoardClient`).  Results come back keyed by the
-        pair's global grid index, so completion order, stealing, and splits
-        can never change a value — only which worker computes it.
-        """
-        payload = []
-        for batch in plan.batches:
-            for partition, attribute in batch:
-                payload.append((partition, attribute, baselines[attribute]))
-        try:
-            board = _publish_board(payload, plan.batches)
-        except Exception as error:
-            self.fallback_reason = f"publishing the steal board failed: {error}"
-            pspan.set("fallback_reason", self.fallback_reason)
-            return
-        self._queue_board = board
-        self._queue_payload = payload
-        self._queue_results = {}
-        self._queue_finalized = False
-        for index, (partition, attribute, _) in enumerate(payload):
-            self._queue_index[(id(partition), attribute)] = index
-        jobs = min(self.workers, len(payload))
-        for job in range(jobs):
-            crash_mode = 0
-            if self._crash_after_steal:
-                crash_mode = 2
-            elif self._crash_shards > 0 and job == 0:
-                crash_mode = 1
-            try:
-                future = pool.submit(_run_queue, self._token, spec_blob,
-                                     str(board), traced, crash_mode)
-            except Exception as error:
-                self.fallback_reason = f"queue job submission failed: {error}"
-                pspan.set("fallback_reason", self.fallback_reason)
-                _discard_pool(self.workers, pool)
-                break
-            self._queue_futures.append(future)
-            self._batch_meta[future] = (time.perf_counter(), 0, None)
-            self.batches_submitted += 1
-            PROCESS_STATS.batches_submitted += 1
-        self.shards_submitted += len(payload)
-        PROCESS_STATS.shards_submitted += len(payload)
-
     def partition_contributions(self, partition: RowPartition, attribute: str,
                                 baseline: float):
-        queue_index = self._queue_index.pop((id(partition), attribute), None)
-        if queue_index is not None:
-            result = self._drain_queue(queue_index)
-            if result is not _MISSING:
-                self.shards_completed += 1
-                PROCESS_STATS.shards_completed += 1
-                return result
-            # The pair was claimed by a worker that died (or a queue job
-            # failed) before its result came home: recompute serially —
-            # bit-identical to what the lost worker would have produced.
-            self.serial_retries += 1
-            PROCESS_STATS.serial_retries += 1
-            self._tracer.event(
-                "process.serial_retry",
-                labels={"kind": self._queue_error_kind or "shard_error"},
-                parent=self._trace_parent,
-            )
-            return self._inner.partition_contributions(partition, attribute,
-                                                       baseline)
         entry = self._futures.pop((id(partition), attribute), None)
         if entry is not None:
             _, future, index = entry
@@ -578,7 +416,7 @@ class ProcessBackend(ContributionBackend):
         return self._inner.reduced_score(row_set, attribute)
 
     def stats(self) -> Dict[str, object]:
-        """Shard counters + scheduling policy + fallback reason."""
+        """Shard counters + batch size + fallback reason."""
         return {
             "workers": self.workers,
             "shards_submitted": self.shards_submitted,
@@ -587,99 +425,11 @@ class ProcessBackend(ContributionBackend):
             "serial_retries": self.serial_retries,
             "structure_hits": self.structure_hits,
             "structure_misses": self.structure_misses,
-            "batch_policy": self.batch_policy,
-            "steals": self.steals,
-            "stolen_pairs": self.stolen_pairs,
-            "shared_structure_hits": self.shared_structure_hits,
-            "shared_structure_stores": self.shared_structure_stores,
+            "batch_size": self.batch_size,
             "fallback_reason": self.fallback_reason,
         }
 
     # ---------------------------------------------------------------- internals
-    def _drain_queue(self, index: int):
-        """Wait until pair ``index``'s result arrived, or no job can bring it.
-
-        Queue jobs return ``{global pair index: result}`` maps as they
-        drain the board; results are merged as futures complete, in
-        completion order — irrelevant for values, which are keyed by index.
-        A broken pool (a worker SIGKILLed mid-steal) fails *every*
-        outstanding future at once; whatever results already came home
-        stay valid, and the rest report ``_MISSING`` for per-pair serial
-        retry by the caller.
-
-        Once the caller has consumed the last queued pair, the remaining
-        jobs have nothing left to claim, so they are all waited for: the
-        board's steal counters are folded and the board removed even when
-        that pair's result arrived with an earlier job.
-        """
-        while self._queue_futures and (index not in self._queue_results
-                                       or not self._queue_index):
-            done, outstanding = wait(self._queue_futures,
-                                     return_when=FIRST_COMPLETED)
-            self._queue_futures = list(outstanding)
-            for future in done:
-                try:
-                    results, worker_stats = future.result()
-                except BrokenProcessPool as error:
-                    self._queue_error_kind = "broken_pool"
-                    if self.fallback_reason is None:
-                        self.fallback_reason = f"worker lost mid-grid: {error}"
-                    if self._pool is not None:
-                        _discard_pool(self.workers, self._pool)
-                        self._pool = None
-                    continue
-                except Exception as error:
-                    self._queue_error_kind = "shard_error"
-                    if self.fallback_reason is None:
-                        self.fallback_reason = f"worker queue job failed: {error}"
-                    continue
-                self._queue_results.update(results)
-                self._credit_worker_stats(future, worker_stats)
-        if not self._queue_futures:
-            self._finalize_queue()
-        return self._queue_results.get(index, _MISSING)
-
-    def _finalize_queue(self) -> None:
-        """Fold the board's steal counters in and remove it (exactly once).
-
-        The counters live in the board's state file, not in worker results,
-        so they survive the very crash the mid-steal test injects: a
-        SIGKILLed thief never returns its stats, but its recorded steal is
-        already on disk.
-        """
-        if self._queue_finalized or self._queue_board is None:
-            return
-        self._queue_finalized = True
-        try:
-            header = array.array("q")
-            with open(self._queue_board / "state.bin", "rb") as handle:
-                header.frombytes(handle.read(_HEADER_INTS * 8))
-            steals, stolen = int(header[2]), int(header[3])
-        except Exception:
-            steals = stolen = 0
-        self.steals += steals
-        self.stolen_pairs += stolen
-        PROCESS_STATS.steals += steals
-        PROCESS_STATS.stolen_pairs += stolen
-        shutil.rmtree(self._queue_board, ignore_errors=True)
-        self._queue_board = None
-        self._flush_costs()
-
-    def _flush_costs(self) -> None:
-        """Merge measured pair timings into the session's cost history."""
-        if not self._pending_costs:
-            return
-        hook = getattr(self._context, "store_pair_costs", None)
-        if hook is None:
-            self._pending_costs.clear()
-            return
-        try:
-            if self._history_key is None:
-                self._history_key = history_key(self.step)
-            hook(self._history_key, dict(self._pending_costs))
-        except Exception:
-            pass
-        self._pending_costs.clear()
     def _credit_worker_stats(self, future: Future, worker_stats: Dict[str, int]) -> None:
         """Fold one batch's worker-side structure counters in, exactly once.
 
@@ -695,29 +445,18 @@ class ProcessBackend(ContributionBackend):
         self._credited.add(future)
         hits = int(worker_stats.get("structure_hits", 0))
         misses = int(worker_stats.get("structure_misses", 0))
-        shared_hits = int(worker_stats.get("shared_structure_hits", 0))
-        shared_stores = int(worker_stats.get("shared_structure_stores", 0))
         self.structure_hits += hits
         self.structure_misses += misses
-        self.shared_structure_hits += shared_hits
-        self.shared_structure_stores += shared_stores
         PROCESS_STATS.structure_hits += hits
         PROCESS_STATS.structure_misses += misses
-        PROCESS_STATS.shared_structure_hits += shared_hits
-        PROCESS_STATS.shared_structure_stores += shared_stores
         self._merge_worker_metrics(worker_stats)
         meta = self._batch_meta.pop(future, None)
-        self._record_pair_seconds(worker_stats.get("pair_seconds"),
-                                  meta[2] if meta is not None else None)
-        self._flush_costs()
         if meta is not None:
             _BATCH_SECONDS.labels(
                 worker=str(worker_stats.get("pid", "?"))
             ).observe(time.perf_counter() - meta[0])
         if self._tracer.enabled and meta is not None:
-            submitted_pc, pairs, _ = meta
-            if not pairs:
-                pairs = int(worker_stats.get("pairs", 0))
+            submitted_pc, pairs = meta
             batch_span = self._tracer.add_span(
                 "process.batch", parent=self._trace_parent,
                 started_pc=submitted_pc,
@@ -745,27 +484,6 @@ class ProcessBackend(ContributionBackend):
         except Exception:
             pass
 
-    def _record_pair_seconds(self, seconds, batch) -> None:
-        """Stash measured per-pair wall times for the session cost history.
-
-        Batch jobs ship a list aligned with the batch's pair order; queue
-        jobs ship ``{global pair index: seconds}`` resolved against the
-        published payload.  Either way the entries land in
-        ``self._pending_costs`` keyed by the partition/attribute identity
-        that :func:`~repro.core.backends.costs.pair_key` derives, and are
-        flushed to the session once the step's dispatch settles.
-        """
-        if not seconds:
-            return
-        if isinstance(seconds, dict):
-            payload = self._queue_payload or []
-            for index, value in seconds.items():
-                if 0 <= index < len(payload):
-                    partition, attribute, _ = payload[index]
-                    self._pending_costs[pair_key(partition, attribute)] = float(value)
-        elif batch is not None:
-            for (partition, attribute), value in zip(batch, seconds):
-                self._pending_costs[pair_key(partition, attribute)] = float(value)
     def _spec_blob(self) -> Optional[bytes]:
         measure_name = getattr(self.measure, "name", None)
         builtin = _BUILTIN_MEASURES.get(measure_name)
@@ -792,18 +510,10 @@ class ProcessBackend(ContributionBackend):
                     self.fallback_reason = f"spilling input {index} failed: {error}"
                     return None
             descriptors.append(descriptor)
-        structure_dir = None
-        if self.shared_structures:
-            try:
-                from ...storage.structures import structure_store_root
-                structure_dir = str(structure_store_root())
-            except Exception:
-                structure_dir = None
         spec = StepSpec(
             descriptors=tuple(descriptors), operation=self.step.operation,
             measure=measure_name, ks_budget_bytes=self._ks_budget_bytes,
             label=getattr(self.step, "label", None),
-            structure_dir=structure_dir,
         )
         try:
             return pickle.dumps(spec, protocol=pickle.HIGHEST_PROTOCOL)
@@ -840,8 +550,6 @@ _SPILLED: "OrderedDict[str, _SpillEntry]" = OrderedDict()
 #: cap, a long-lived service would keep one temp copy of every distinct
 #: in-memory frame it ever explained.
 DEFAULT_SPILL_BUDGET_BYTES = 1 << 30
-_SPILL_BUDGET_BYTES = int(os.environ.get("REPRO_SPILL_BUDGET_BYTES",
-                                         str(DEFAULT_SPILL_BUDGET_BYTES)))
 
 
 class _SpillEntry:
@@ -876,7 +584,7 @@ def _evict_spill_overflow(protect: str) -> None:
     with _SPILL_LOCK:
         total = sum(e.bytes for e in _SPILLED.values() if e.ready.is_set())
         for fingerprint, entry in list(_SPILLED.items()):
-            if total <= _SPILL_BUDGET_BYTES or len(_SPILLED) <= 1:
+            if total <= DEFAULT_SPILL_BUDGET_BYTES or len(_SPILLED) <= 1:
                 break
             if fingerprint == protect:
                 continue
@@ -899,9 +607,9 @@ def spill_descriptor(frame):
     process and every later request reuses the descriptor.  Concurrent
     spills of *different* frames proceed in parallel — only callers of the
     same fingerprint wait for its (single) write.  The store is LRU-bounded
-    by :data:`_SPILL_BUDGET_BYTES`; the temp root lives until process exit,
-    and workers that still hold an evicted dataset's mmap keep reading
-    after the unlink (POSIX semantics).
+    by :data:`DEFAULT_SPILL_BUDGET_BYTES`; the temp root lives until process
+    exit, and workers that still hold an evicted dataset's mmap keep
+    reading after the unlink (POSIX semantics).
     """
     from ...storage.reader import shared_dataset
     from ...storage.writer import write_dataset
@@ -961,20 +669,11 @@ def _start_method() -> str:
     other threads exist — forking a multi-threaded parent (an
     :class:`~repro.service.ExplanationService` worker, say) can hand the
     child third-party locks frozen in a held state, and ``register_at_fork``
-    can only re-initialise *this* package's locks.  Overridable via the
-    ``REPRO_PROCESS_START_METHOD`` environment variable — everything
-    shipped to workers is top-level and picklable, so every method works
-    identically, just with different cold starts.
+    can only re-initialise *this* package's locks.  Everything shipped to
+    workers is top-level and picklable, so every method computes the same
+    results, just with different cold starts.
     """
     available = multiprocessing.get_all_start_methods()
-    preferred = os.environ.get("REPRO_PROCESS_START_METHOD")
-    if preferred:
-        if preferred not in available:
-            raise ValueError(
-                f"REPRO_PROCESS_START_METHOD={preferred!r} is not available; "
-                f"choose one of {available}"
-            )
-        return preferred
     if "fork" in available and threading.active_count() == 1:
         return "fork"
     for method in ("forkserver", "fork"):
@@ -1039,157 +738,14 @@ def _reinit_after_fork() -> None:
     deadlock the child the moment it touched either), and a child must
     never talk to executor objects it inherited from the parent.
     """
-    global _SPILL_LOCK, _POOL_LOCK, _BOARD_LOCK
+    global _SPILL_LOCK, _POOL_LOCK
     _SPILL_LOCK = threading.Lock()
     _POOL_LOCK = threading.Lock()
-    _BOARD_LOCK = threading.Lock()
     _POOLS.clear()
 
 
 if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_reinit_after_fork)
-
-
-# ------------------------------------------------------------- steal board
-# The work-stealing queue between parent and workers.  A board is one
-# directory per prefetch: ``pairs.pkl`` holds the pickled flat pair payload
-# (published once, read once per worker), ``state.bin`` holds the live
-# scheduling state as a flat int64 array, and ``lock`` is the file an
-# ``fcntl.flock`` serializes claims through.  No manager process, no
-# sockets: claiming a pair is one flock + one small read-modify-write.
-#
-# ``state.bin`` layout (little-endian int64s):
-#   header  [slot capacity, slots used, steals, stolen pairs]
-#   slot i  [start, end, next, owner]      (owner -1 until claimed)
-# A slot is a contiguous half-open index range [start, end) over the
-# payload; ``next`` is the first unclaimed index within it.  Stealing
-# splits the victim's *remaining* range in half — the victim keeps the
-# front (its next pair is untouched, so per-pair results stay bit-identical
-# no matter who computes what), the thief takes the back as a new slot.
-_BOARD_LOCK = threading.Lock()
-_BOARD_ROOT: Optional[Path] = None
-_HEADER_INTS = 4
-_SLOT_INTS = 4
-#: Extra slot capacity beyond the initial batch count; every steal adds one
-#: slot, and a grid can be stolen at most once per remaining pair, so this
-#: is far beyond what any real run consumes.
-_BOARD_SLOT_HEADROOM = 256
-
-
-def _board_root() -> Path:
-    """Process-lifetime directory for steal boards (one subdir per prefetch)."""
-    global _BOARD_ROOT
-    with _BOARD_LOCK:
-        if _BOARD_ROOT is None:
-            root = Path(tempfile.mkdtemp(prefix="repro-steal-"))
-            atexit.register(shutil.rmtree, root, ignore_errors=True)
-            _BOARD_ROOT = root
-        return _BOARD_ROOT
-
-
-def _publish_board(payload, batches) -> Path:
-    """Write one prefetch's pair payload + scheduling state to a fresh board.
-
-    ``batches`` (the cost-planned batches, in payload order) become the
-    initial slots, so the board starts exactly where static dispatch would
-    — stealing only changes *who* computes a pair, never the pair set.
-    """
-    board = _board_root() / uuid.uuid4().hex
-    board.mkdir()
-    with open(board / "pairs.pkl", "wb") as handle:
-        pickle.dump(payload, handle, protocol=pickle.HIGHEST_PROTOCOL)
-    capacity = len(batches) + _BOARD_SLOT_HEADROOM
-    values = [capacity, len(batches), 0, 0]
-    offset = 0
-    for batch in batches:
-        values.extend((offset, offset + len(batch), offset, -1))
-        offset += len(batch)
-    values.extend([0] * ((capacity - len(batches)) * _SLOT_INTS))
-    with open(board / "state.bin", "wb") as handle:
-        handle.write(array.array("q", values).tobytes())
-    (board / "lock").touch()
-    return board
-
-
-class _BoardClient:
-    """One worker's handle on a steal board: claim, advance, steal."""
-
-    __slots__ = ("_lock_fh", "_state_path", "_slot")
-
-    def __init__(self, board_dir: str) -> None:
-        board = Path(board_dir)
-        self._lock_fh = open(board / "lock", "rb")
-        self._state_path = board / "state.bin"
-        self._slot: Optional[int] = None
-
-    def _read(self) -> "array.array":
-        state = array.array("q")
-        with open(self._state_path, "rb") as handle:
-            state.frombytes(handle.read())
-        return state
-
-    def _write(self, state: "array.array") -> None:
-        with open(self._state_path, "r+b") as handle:
-            handle.write(state.tobytes())
-
-    def claim_next(self) -> Optional[Tuple[int, bool]]:
-        """Claim one payload index, or ``None`` when the board is drained.
-
-        Returns ``(index, stole)``; ``stole`` is True exactly when the
-        index came from splitting another worker's remaining range (the
-        crash-mid-steal hook keys off it).  Preference order: advance the
-        slot this client already owns, claim a never-claimed slot, then
-        steal from the victim with the largest remainder — splitting at
-        ``end - remainder // 2`` so a remainder of ``r >= 2`` leaves the
-        victim ``ceil(r / 2) >= 1`` pairs and never moves its ``next``.
-        """
-        fcntl.flock(self._lock_fh, fcntl.LOCK_EX)
-        try:
-            state = self._read()
-            used = state[1]
-            if self._slot is not None:
-                base = _HEADER_INTS + self._slot * _SLOT_INTS
-                if state[base + 2] < state[base + 1]:
-                    index = int(state[base + 2])
-                    state[base + 2] += 1
-                    self._write(state)
-                    return index, False
-                self._slot = None
-            pid = os.getpid()
-            for slot in range(used):
-                base = _HEADER_INTS + slot * _SLOT_INTS
-                if state[base + 3] == -1 and state[base + 2] < state[base + 1]:
-                    state[base + 3] = pid
-                    index = int(state[base + 2])
-                    state[base + 2] += 1
-                    self._write(state)
-                    self._slot = slot
-                    return index, False
-            victim, best = -1, 1
-            for slot in range(used):
-                base = _HEADER_INTS + slot * _SLOT_INTS
-                remainder = state[base + 1] - state[base + 2]
-                if remainder > best:
-                    victim, best = slot, remainder
-            if victim >= 0 and used < state[0]:
-                vbase = _HEADER_INTS + victim * _SLOT_INTS
-                end = int(state[vbase + 1])
-                mid = end - int(best) // 2
-                state[vbase + 1] = mid
-                nbase = _HEADER_INTS + used * _SLOT_INTS
-                state[nbase] = mid
-                state[nbase + 1] = end
-                state[nbase + 2] = mid + 1
-                state[nbase + 3] = pid
-                state[1] = used + 1
-                state[2] += 1
-                state[3] += end - mid
-                self._write(state)
-                self._slot = int(used)
-                return mid, True
-            return None
-        finally:
-            fcntl.flock(self._lock_fh, fcntl.LOCK_UN)
 
 
 # ------------------------------------------------------------- worker side
@@ -1214,21 +770,13 @@ class _WorkerStructureCache:
     steps.
     """
 
-    __slots__ = ("_entries", "_cap", "hits", "misses", "shared",
-                 "shared_hits", "shared_stores")
+    __slots__ = ("_entries", "_cap", "hits", "misses")
 
     def __init__(self, cap: int) -> None:
         self._entries: "OrderedDict[Tuple, object]" = OrderedDict()
         self._cap = cap
         self.hits = 0
         self.misses = 0
-        #: Optional pool-shared :class:`~repro.storage.structures.StructureStore`
-        #: consulted between the in-memory LRU and a rebuild.  The store uses
-        #: the *same* content-addressed keys, so an entry built by any worker
-        #: (or a pre-crash pool) is valid for every other worker.
-        self.shared = None
-        self.shared_hits = 0
-        self.shared_stores = 0
 
     def _memo(self, key: Tuple, build) -> object:
         value = self._entries.get(key, _MISSING)
@@ -1237,22 +785,11 @@ class _WorkerStructureCache:
             self.hits += 1
             return value
         self.misses += 1
-        if self.shared is not None:
-            found, value = self.shared.get(key)
-            if found:
-                self.shared_hits += 1
-                self._insert(key, value)
-                return value
         value = build()
-        self._insert(key, value)
-        if self.shared is not None and self.shared.put(key, value):
-            self.shared_stores += 1
-        return value
-
-    def _insert(self, key: Tuple, value: object) -> None:
         self._entries[key] = value
         while len(self._entries) > self._cap:
             self._entries.popitem(last=False)
+        return value
 
     def _input_fingerprints(self, step) -> Tuple[str, ...]:
         return tuple(frame.fingerprint() for frame in step.inputs)
@@ -1284,7 +821,7 @@ class _WorkerStructureCache:
 #: Entry cap of the worker structure cache; structures are priced per step,
 #: not per byte, so the cap is the simple bound on a worker that serves many
 #: distinct steps back to back.
-_WORKER_STRUCTURE_CAP = int(os.environ.get("REPRO_WORKER_STRUCTURE_CAP", "32"))
+_WORKER_STRUCTURE_CAP = 32
 
 #: The per-worker-process structure cache (survives across backend tokens).
 _WORKER_STRUCTURES = _WorkerStructureCache(_WORKER_STRUCTURE_CAP)
@@ -1293,15 +830,11 @@ _WORKER_STRUCTURES = _WorkerStructureCache(_WORKER_STRUCTURE_CAP)
 class _WorkerState:
     """One rebuilt step + embedded incremental backend inside a worker."""
 
-    __slots__ = ("step", "backend", "shared")
+    __slots__ = ("step", "backend")
 
-    def __init__(self, step, backend, shared=None) -> None:
+    def __init__(self, step, backend) -> None:
         self.step = step
         self.backend = backend
-        #: The pool-shared structure store this step's spec asked for (or
-        #: None); installed on :data:`_WORKER_STRUCTURES` for the duration
-        #: of each job serving this state.
-        self.shared = shared
 
 
 #: Per-worker-process cache of rebuilt states, keyed by backend token.  The
@@ -1327,14 +860,7 @@ def _build_worker_state(spec: StepSpec) -> _WorkerState:
     # and survive this state's eviction (and the session's next step).
     backend = IncrementalBackend(step, measure, context=_WORKER_STRUCTURES,
                                  ks_budget_bytes=spec.ks_budget_bytes)
-    shared = None
-    if spec.structure_dir:
-        try:
-            from ...storage.structures import StructureStore
-            shared = StructureStore(Path(spec.structure_dir))
-        except Exception:
-            shared = None
-    return _WorkerState(step, backend, shared=shared)
+    return _WorkerState(step, backend)
 
 
 def _worker_state(token: str, spec_blob: bytes) -> _WorkerState:
@@ -1368,7 +894,6 @@ def _run_batch(token: str, spec_blob: bytes,
     already computed and lost — not an error result.
     """
     state = _worker_state(token, spec_blob)
-    _WORKER_STRUCTURES.shared = state.shared
     before = _structure_counters()
     metrics_before = WORKER_REGISTRY.dump()
     crash_at = len(pairs) // 2 if crash else -1
@@ -1389,7 +914,6 @@ def _run_batch(token: str, spec_blob: bytes,
         wspan.set("structure_misses",
                   _WORKER_STRUCTURES.misses - before["structure_misses"])
     stats = _structure_delta(before)
-    stats["pair_seconds"] = seconds
     _record_worker_metrics(time.perf_counter() - batch_started, seconds, stats)
     stats["metrics"] = registry_delta(metrics_before, WORKER_REGISTRY.dump())
     stats["pid"] = os.getpid()
@@ -1402,8 +926,6 @@ def _structure_counters() -> Dict[str, int]:
     return {
         "structure_hits": _WORKER_STRUCTURES.hits,
         "structure_misses": _WORKER_STRUCTURES.misses,
-        "shared_structure_hits": _WORKER_STRUCTURES.shared_hits,
-        "shared_structure_stores": _WORKER_STRUCTURES.shared_stores,
     }
 
 
@@ -1412,85 +934,20 @@ def _structure_delta(before: Dict[str, int]) -> Dict[str, int]:
     return {name: after[name] - before[name] for name in before}
 
 
-def _record_worker_metrics(batch_seconds: float, pair_seconds,
+def _record_worker_metrics(batch_seconds: float, pair_seconds: List[float],
                            structure_delta: Dict[str, int]) -> None:
-    """Fold one job's timings and structure events into :data:`WORKER_REGISTRY`.
+    """Fold one batch's timings and structure events into :data:`WORKER_REGISTRY`.
 
     Runs in the worker right before the per-batch registry delta is taken,
-    so the shipped delta carries exactly this job's observations.
+    so the shipped delta carries exactly this batch's observations.
     """
     _WORKER_BATCH_SECONDS.observe(batch_seconds)
-    values = (pair_seconds.values() if isinstance(pair_seconds, dict)
-              else pair_seconds)
-    for value in values:
+    for value in pair_seconds:
         _WORKER_PAIR_SECONDS.observe(value)
-    for key, (tier, event) in _STRUCTURE_EVENT_LABELS:
+    for key, event in _STRUCTURE_EVENT_LABELS:
         amount = int(structure_delta.get(key, 0))
         if amount > 0:
-            _WORKER_STRUCTURE_EVENTS.labels(tier=tier, event=event).inc(amount)
-
-
-def _run_queue(token: str, spec_blob: bytes, board_dir: str,
-               trace: bool = False, crash_mode: int = 0):
-    """One worker's drain loop over a steal board.
-
-    Unlike :func:`_run_batch`, the pair list is not an argument — the
-    worker claims indexes from the shared board until it is empty, so fast
-    workers absorb the slow workers' tails.  Returns
-    ``({global pair index: result}, stats)``; index keys make the results
-    order-independent, and per-index timings ship in
-    ``stats["pair_seconds"]`` for the session cost history.
-
-    ``crash_mode`` is the crash-injection hook: ``1`` kills the worker
-    after its first computed pair (mid-grid loss), ``2`` kills it
-    immediately after a *successful steal* — the stolen range is then
-    orphaned with its slot marked claimed, which is exactly the case the
-    parent's per-pair serial retry must cover.
-    """
-    state = _worker_state(token, spec_blob)
-    _WORKER_STRUCTURES.shared = state.shared
-    before = _structure_counters()
-    metrics_before = WORKER_REGISTRY.dump()
-    with open(Path(board_dir) / "pairs.pkl", "rb") as handle:
-        payload = pickle.load(handle)
-    board = _BoardClient(board_dir)
-    local = Tracer() if trace else NOOP_TRACER
-    results: Dict[int, object] = {}
-    seconds: Dict[int, float] = {}
-    computed = 0
-    queue_started = time.perf_counter()
-    with local.span("worker.queue", pid=os.getpid()) as wspan:
-        while True:
-            claim = board.claim_next()
-            if claim is None:
-                break
-            index, stole = claim
-            if stole and crash_mode == 2:
-                os.kill(os.getpid(), signal.SIGKILL)
-            partition, attribute, baseline = payload[index]
-            started = time.perf_counter()
-            results[index] = state.backend.partition_contributions(
-                partition, attribute, baseline)
-            seconds[index] = time.perf_counter() - started
-            computed += 1
-            if crash_mode == 1 and computed >= 1:
-                os.kill(os.getpid(), signal.SIGKILL)
-            if crash_mode == 2:
-                # Throttle the non-thief: on an under-provisioned host the
-                # first worker could otherwise drain the whole board before
-                # the second one is ever scheduled, leaving no steal for the
-                # injection to crash.
-                time.sleep(0.02)
-        wspan.set("pairs", computed)
-    stats = _structure_delta(before)
-    stats["pair_seconds"] = seconds
-    stats["pairs"] = computed
-    _record_worker_metrics(time.perf_counter() - queue_started, seconds, stats)
-    stats["metrics"] = registry_delta(metrics_before, WORKER_REGISTRY.dump())
-    stats["pid"] = os.getpid()
-    if trace:
-        stats["spans"] = local.export()
-    return results, stats
+            _WORKER_STRUCTURE_EVENTS.labels(tier="local", event=event).inc(amount)
 
 
 def _probe_descriptor(descriptor) -> Dict[str, object]:

@@ -76,24 +76,22 @@ class FedexConfig:
         ``"incremental"`` (default) derives all row-set interventions of a
         step from shared precomputed structure, ``"exact"`` re-runs the
         operation per set-of-rows (the paper's literal semantics, kept as
-        the reference oracle), ``"parallel"`` shards the partition ×
-        attribute grid across a thread pool of incremental workers, and
-        ``"process"`` shards the same grid across a *process* pool —
+        the reference oracle), and ``"process"`` shards the partition ×
+        attribute grid across a process pool of incremental workers —
         inputs travel as mmap frame descriptors, so workers share the
         stored data's pages instead of receiving pickled copies.  See
         :mod:`repro.core.backends`.
     workers:
-        Worker-pool size of the ``"parallel"`` and ``"process"`` backends.
-        ``None`` lets the backend pick (``min(4, cpu_count)``); ignored by
-        the serial backends.
+        Worker-pool size of the ``"process"`` backend.  ``None`` lets the
+        backend pick (``min(4, cpu_count)``); ignored by the serial
+        backends.
     shard_batch:
-        How many (partition, attribute) grid pairs one submitted job of a
-        pooled backend carries.  Per-pair submission (``1``) pays one
-        pickle/submit/result round-trip per pair, which dominates wide
+        How many (partition, attribute) grid pairs one submitted job of the
+        ``"process"`` backend carries.  Per-pair submission (``1``) pays
+        one pickle/submit/result round-trip per pair, which dominates wide
         grids of small partitions; batching amortizes it without changing
         any result — outputs stay bit-identical to serial for every batch
-        size.  ``None`` (default) resolves the ``REPRO_SHARD_BATCH``
-        environment variable and then the automatic policy
+        size.  ``None`` (default) uses the automatic policy
         ``ceil(grid / (workers × oversubscription))``; see
         :func:`repro.core.backends.base.resolve_shard_batch`.  Ignored by
         the serial backends.
@@ -107,31 +105,6 @@ class FedexConfig:
         (:data:`repro.core.backends.process.DEFAULT_SPILL_BYTES`, 4 MiB);
         ``0`` spills every in-memory input.  Storage-backed frames never
         spill — their descriptors are free.
-    adaptive_batch:
-        Cost-model batch sizing of the pooled backends: batches cover
-        roughly equal *predicted wall-time* (plan class × set count × row
-        count, upgraded to measured per-pair timings when the session has
-        them) instead of equal pair counts, so one expensive pair no
-        longer straggles a whole fixed batch.  Only consulted when
-        ``shard_batch`` (and ``REPRO_SHARD_BATCH``) leave the size
-        automatic.  ``None`` resolves ``REPRO_ADAPTIVE_BATCH`` and then
-        defaults to on.  Results are bit-identical for every policy — the
-        knob changes where batch boundaries fall, never a value.
-    steal:
-        Work-stealing between pool workers: the grid's batches go onto a
-        shared queue, idle workers pull the next batch, and when the queue
-        drains the largest in-flight remainder is split so no worker idles
-        while another finishes a fat batch.  Crash-retry granularity stays
-        per-pair and bit-identical.  ``None`` resolves ``REPRO_STEAL`` and
-        then defaults to off.
-    shared_structures:
-        Pool-shared structure tier of the ``"process"`` backend: group-by /
-        row-provenance / left-join structures built by one worker are
-        published to a content-addressed spill store
-        (:class:`~repro.storage.structures.StructureStore`) so the other
-        workers — and post-crash replacement pools — load instead of
-        rebuilding; each worker's private LRU remains the L1.  ``None``
-        resolves ``REPRO_SHARED_STRUCTURES`` and then defaults to off.
     cache_reports:
         Let an :class:`~repro.session.ExplanationSession` memoize whole
         explanation reports keyed by (step signature, config signature) —
@@ -168,9 +141,6 @@ class FedexConfig:
     workers: Optional[int] = None
     shard_batch: Optional[int] = None
     spill_bytes: Optional[int] = None
-    adaptive_batch: Optional[bool] = None
-    steal: Optional[bool] = None
-    shared_structures: Optional[bool] = None
     cache_reports: bool = True
     cache_structures: bool = True
     ks_budget_bytes: Optional[int] = None

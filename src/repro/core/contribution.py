@@ -63,19 +63,17 @@ class ContributionCalculator:
         return self._baseline[attribute]
 
     # ------------------------------------------------------------ contribution
-    def prefetch(self, grid: Sequence[Tuple[RowPartition, str]],
-                 batch_hint: Optional[int] = None) -> None:
+    def prefetch(self, grid: Sequence[Tuple[RowPartition, str]]) -> None:
         """Announce the full contribution grid so the backend can parallelise.
 
         Baselines of every attribute in the grid are computed (and cached)
         up front — serially, before any worker starts — then the backend's
         :meth:`~repro.core.backends.base.ContributionBackend.prefetch` hook
-        receives the grid together with the caller's shard-batch preference
-        (``FedexConfig.shard_batch``).  A no-op for the serial backends.
+        receives the grid.  A no-op for the serial backends.
         """
         for _, attribute in grid:
             self.baseline(attribute)
-        self.backend.prefetch(grid, self._baseline, batch_hint=batch_hint)
+        self.backend.prefetch(grid, self._baseline)
 
     def contribution(self, row_set: RowSet, attribute: str) -> float:
         """``C(R, A, Q)`` for one set-of-rows and one output attribute."""

@@ -152,7 +152,7 @@ class FedexExplainer:
 
         ``progress``, when given, is called synchronously with one event
         dictionary per (partition, attribute) grid pair as phase 3 finishes
-        it — with the pool backends this happens while later shards are
+        it — with the process backend this happens while later shards are
         still computing, which is what lets a serving front end stream
         partial results.  Progress never changes a result: the events carry
         copies of per-pair summaries, and a raising callback aborts the
@@ -211,13 +211,10 @@ class FedexExplainer:
                 backend_options={"workers": self.config.workers, "context": self.context,
                                  "ks_budget_bytes": self.config.ks_budget_bytes,
                                  "shard_batch": self.config.shard_batch,
-                                 "spill_bytes": self.config.spill_bytes,
-                                 "adaptive_batch": self.config.adaptive_batch,
-                                 "steal": self.config.steal,
-                                 "shared_structures": self.config.shared_structures},
+                                 "spill_bytes": self.config.spill_bytes},
             )
             # The full partition × attribute grid is known before any
-            # contribution is computed; announcing it lets the parallel backend
+            # contribution is computed; announcing it lets the process backend
             # shard the grid across its worker pool up front.
             grid: List[Tuple[RowPartition, str]] = [
                 (partition, attribute)
@@ -225,7 +222,7 @@ class FedexExplainer:
                 for attribute in self._attributes_for_partition(step, partition, selected)
             ]
             span.set("grid_pairs", len(grid))
-            calculator.prefetch(grid, batch_hint=self.config.shard_batch)
+            calculator.prefetch(grid)
             all_candidates: List[ExplanationCandidate] = []
             candidate_partitions: Dict[Tuple, RowPartition] = {}
             for pair_index, (partition, attribute) in enumerate(grid):
@@ -243,7 +240,7 @@ class FedexExplainer:
                     candidate_partitions[candidate.key()] = partition
                 all_candidates.extend(candidates)
                 if progress is not None:
-                    # Early pairs are announced while the pool backends are
+                    # Early pairs are announced while the process backend is
                     # still computing later shards (prefetch is per-pair
                     # non-blocking), so a streaming consumer genuinely sees
                     # partial results before the request finishes.

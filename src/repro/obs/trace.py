@@ -238,8 +238,8 @@ class Tracer:
     always precede their children — and the tree is rebuilt from parent ids
     at render time, so pool threads can record concurrently without sharing
     mutable child lists.  Each thread keeps its own current-span stack;
-    cross-thread spans pass ``parent=`` explicitly (the thread pools capture
-    the submitting span at prefetch time).
+    cross-thread spans pass ``parent=`` explicitly (the process backend
+    captures the submitting span at prefetch time).
     """
 
     enabled = True

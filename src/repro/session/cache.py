@@ -123,7 +123,7 @@ class SessionCache:
             store = CacheStore(max_entries={
                 "reports": max_reports, "columns": max_columns,
                 "partitions": max_partitions, "structures": max_structures,
-                "scores": max_reports, "costs": max_reports,
+                "scores": max_reports,
             })
         self.store = store
         self.stats = SessionCacheStats()
@@ -232,31 +232,6 @@ class SessionCache:
         value = build()
         self.store.put("scores", key, value, tenant=self.tenant)
         return value
-
-    # -------------------------------------------------------------- pair costs
-    def pair_costs(self, key: Tuple) -> Dict[Tuple, float]:
-        """Measured per-pair contribution timings of an earlier run, if any.
-
-        ``key`` is the step's cost-history key
-        (:func:`~repro.core.backends.costs.history_key`): operation kind +
-        declarative signature + input content fingerprints.  The pooled
-        backends feed the mapping (pair key → seconds) into the batch
-        planner so the *next* run of the same step sizes batches by
-        measured wall-time instead of static estimates.
-        """
-        return self.store.get("costs", key) or {}
-
-    def store_pair_costs(self, key: Tuple, costs: Dict[Tuple, float]) -> None:
-        """Merge newly-measured pair timings into the step's cost history.
-
-        Merge-on-write: a crash-degraded run that measured only part of the
-        grid refines the history instead of erasing the rest of it.
-        """
-        if not costs:
-            return
-        merged = dict(self.store.get("costs", key) or {})
-        merged.update(costs)
-        self.store.put("costs", key, merged, tenant=self.tenant)
 
     # -------------------------------------------------------------- partitions
     def partitions(self, key: Tuple,

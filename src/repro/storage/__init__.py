@@ -45,7 +45,6 @@ from .reader import (
 )
 from .scan import DatasetScan, ScanStats
 from .store import DatasetStore
-from .structures import StructureStore, structure_store_root
 from .writer import csv_to_dataset, write_dataset
 
 __all__ = [
@@ -57,13 +56,11 @@ __all__ = [
     "DatasetStore",
     "FrameDescriptor",
     "ScanStats",
-    "StructureStore",
     "csv_to_dataset",
     "frame_from_descriptor",
     "map_buffer",
     "open_dataset",
     "read_dataset",
     "shared_dataset",
-    "structure_store_root",
     "write_dataset",
 ]

@@ -25,7 +25,7 @@ from repro.core import (
     FrequencyPartitioner,
     IncrementalBackend,
     NumericBinningPartitioner,
-    ParallelBackend,
+    ProcessBackend,
     available_backends,
     make_backend,
 )
@@ -73,14 +73,15 @@ class TestBackendSelection:
         registry = available_backends()
         assert registry["exact"] is ExactRerunBackend
         assert registry["incremental"] is IncrementalBackend
-        assert registry["parallel"] is ParallelBackend
+        assert registry["process"] is ProcessBackend
+        assert set(registry) == {"exact", "incremental", "process"}
 
     def test_make_backend_forwards_supported_options_only(self, tiny_frame):
         step = ExploratoryStep([tiny_frame], Filter(Comparison("popularity", ">", 65)))
         measure = ExceptionalityMeasure()
         options = {"workers": 2, "context": None}
-        parallel = make_backend("parallel", step, measure, options=options)
-        assert parallel.workers == 2
+        process = make_backend("process", step, measure, options=options)
+        assert process.workers == 2
         # The exact backend accepts neither option; they must be dropped, not crash.
         exact = make_backend("exact", step, measure, options=options)
         assert isinstance(exact, ExactRerunBackend)

@@ -70,12 +70,12 @@ class TestConveniences:
         assert sampling_config(1_000).sample_size == 1_000
 
     def test_with_backend_switches_backend(self):
-        config = FedexConfig().with_backend("parallel", workers=4)
-        assert config.backend == "parallel"
+        config = FedexConfig().with_backend("process", workers=4)
+        assert config.backend == "process"
         assert config.workers == 4
 
     def test_with_backend_preserves_workers_when_omitted(self):
-        config = FedexConfig(workers=8).with_backend("parallel")
+        config = FedexConfig(workers=8).with_backend("process")
         assert config.workers == 8
 
     def test_cache_toggles_default_on(self):

@@ -12,6 +12,7 @@ import pytest
 
 from repro import ExplainableDataFrame, FedexExplainer
 from repro.core import FedexConfig
+from repro.core.backends.process import PROCESS_STATS
 from repro.dataframe import Comparison
 from repro.errors import ExplanationError
 from repro.operators import ExploratoryStep, Filter, GroupBy
@@ -63,11 +64,17 @@ class TestSessionEquivalence:
         _assert_same_report(stateless, session.explain(second))
         assert session.stats.structure_hits > baseline_hits
 
-    def test_session_with_parallel_backend(self, spotify_small):
+    def test_session_with_process_backend(self, spotify_small):
         step = ExploratoryStep([spotify_small], Filter(Comparison("popularity", ">", 65)))
         serial = FedexExplainer(FedexConfig()).explain(step)
-        session = ExplanationSession(config=FedexConfig(backend="parallel", workers=2))
+        session = ExplanationSession(
+            config=FedexConfig(backend="process", workers=2, spill_bytes=0))
+        before = PROCESS_STATS.snapshot()
         _assert_same_report(serial, session.explain(step))
+        # The in-memory input was spilled and the grid really crossed processes.
+        delta = PROCESS_STATS.delta(before)
+        assert delta["shards_completed"] > 0
+        assert delta["serial_retries"] == 0
 
     def test_history_records_every_request(self, spotify_small):
         session = ExplanationSession()
