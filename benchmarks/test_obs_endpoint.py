@@ -1,11 +1,13 @@
-"""CI smoke test of the observability endpoint under a real traced workload.
+"""CI smoke test of the serving telemetry routes under a real traced workload.
 
 An :class:`~repro.service.ExplanationService` routing the 30-query workload
-through the process backend (4 workers) while its scrape endpoint is live:
-``/metrics`` and ``/healthz`` are polled *during* the run by a scraper
-thread, and the final ``/metrics`` payload must survive the strict
-Prometheus parser with the per-worker batch histograms present —
-the cross-process aggregation visible exactly where a scraper would look.
+through the process backend (4 workers) while an
+:class:`~repro.serving.ExplanationServer` fronts it: ``/metrics`` and
+``/healthz`` are polled *during* the run by a scraper thread, the final
+``/metrics`` payload must survive the strict Prometheus parser with the
+per-worker batch histograms present — the cross-process aggregation
+visible exactly where a scraper would look — and ``/traces`` must serve
+the traced requests with their critical paths.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from conftest import run_once
 from repro.core import FedexConfig
 from repro.obs.metrics import validate_prometheus_text
 from repro.service import ExplanationService, ServiceConfig
+from repro.serving import ExplanationServer
 from repro.workloads import WORKLOAD
 
 WORKERS = 4
@@ -36,7 +39,7 @@ def _run_workload(registry, monkeypatch):
                            spill_bytes=0, seed=0),
         service_config=ServiceConfig(workers=WORKERS),
     )
-    server = service.attach_observability()
+    server = ExplanationServer(service).start()
     stop = threading.Event()
     scrapes = {"metrics": 0, "healthz": 0}
     errors = []
@@ -64,6 +67,7 @@ def _run_workload(registry, monkeypatch):
     finally:
         stop.set()
         thread.join(10)
+        server.close()
         service.close()
     return final_metrics, traces, scrapes, errors
 

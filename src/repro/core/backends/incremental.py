@@ -83,11 +83,9 @@ class IncrementalBackend(ContributionBackend):
 
     name = "incremental"
 
-    def __init__(self, step, measure, context=None,
-                 ks_budget_bytes: Optional[int] = None) -> None:
+    def __init__(self, step, measure, context=None) -> None:
         super().__init__(step, measure)
         self._context = context
-        self._ks_budget_bytes = ks_budget_bytes
         self._fallback = ExactRerunBackend(step, measure)
         self._plans: Dict[Tuple[int, str], object] = {}
         self._row_sources = _UNSET
@@ -167,8 +165,7 @@ class IncrementalBackend(ContributionBackend):
             return None
         if measure_type is ExceptionalityMeasure:
             return _SliceExceptionalityPlan(self.step, attribute, input_index,
-                                            sources[input_index],
-                                            ks_budget_bytes=self._ks_budget_bytes)
+                                            sources[input_index])
         if measure_type is DiversityMeasure:
             return _SliceDiversityPlan(self.step, attribute, input_index,
                                        sources[input_index])
@@ -477,8 +474,8 @@ class _SliceExceptionalityPlan:
     Eq. 1, join → the input holding the attribute, union → the paper's max).
     """
 
-    def __init__(self, step, attribute: str, input_index: int, sources: np.ndarray,
-                 ks_budget_bytes: Optional[int] = None) -> None:
+    def __init__(self, step, attribute: str, input_index: int,
+                 sources: np.ndarray) -> None:
         self._n_rows = step.inputs[input_index].num_rows
         self._sources = sources
         self._pairs: List[_KSPair] = []
@@ -489,7 +486,6 @@ class _SliceExceptionalityPlan:
                     self._pairs.append(_KSPair(
                         frame[attribute], output_column,
                         before_is_reduced=(position == input_index),
-                        ks_budget_bytes=ks_budget_bytes,
                     ))
 
     def reduced_score(self, row_set: RowSet) -> float:
@@ -523,12 +519,10 @@ class _KSPair:
     * mixed — reduced :class:`Column` views fed to :func:`ks_columns`.
     """
 
-    def __init__(self, before: Column, after: Column, before_is_reduced: bool,
-                 ks_budget_bytes: Optional[int] = None) -> None:
+    def __init__(self, before: Column, after: Column, before_is_reduced: bool) -> None:
         self._before = before
         self._after = after
         self._before_is_reduced = before_is_reduced
-        self._ks_budget_bytes = ks_budget_bytes
         numeric_before = before.is_numeric or before.is_boolean
         numeric_after = after.is_numeric or after.is_boolean
         if numeric_before and numeric_after:
@@ -599,8 +593,7 @@ class _KSPair:
                 keep_before = ~removed[:, self._before_rows]
             keep_after = keep_output[:, self._after_rows]
             return ks_sorted_masked_batch(self._sorted_before, keep_before,
-                                          self._sorted_after, keep_after,
-                                          budget_bytes=self._ks_budget_bytes)
+                                          self._sorted_after, keep_after)
         if self._mode == "categorical":
             if self._before_is_reduced:
                 counts_before = self._counts_before[None, :] - _scatter_counts(
@@ -616,7 +609,6 @@ class _KSPair:
             return ks_from_value_counts_batch(
                 counts_before, self._positions_before,
                 counts_after, self._positions_after, self._support_size,
-                budget_bytes=self._ks_budget_bytes,
             )
         return np.asarray([
             self.reduced_ks(removed[position], keep_output[position])

@@ -218,7 +218,6 @@ class StepSpec:
     descriptors: Tuple[object, ...]
     operation: object
     measure: str
-    ks_budget_bytes: Optional[int]
     label: Optional[str] = None
 
 
@@ -236,9 +235,6 @@ class ProcessBackend(ContributionBackend):
         Optional session cache forwarded to the embedded incremental
         backend, so the serial fallback path composes with cross-step
         structure reuse.  Workers never see it — they own their structure.
-    ks_budget_bytes:
-        Forwarded to every incremental backend (parent and workers) so the
-        batched-KS chunking is identical on both sides.
     shard_batch:
         Grid pairs per submitted batch (``FedexConfig.shard_batch``);
         ``None`` uses the automatic policy — see
@@ -255,7 +251,6 @@ class ProcessBackend(ContributionBackend):
     name = "process"
 
     def __init__(self, step, measure, workers: Optional[int] = None, context=None,
-                 ks_budget_bytes: Optional[int] = None,
                  shard_batch: Optional[int] = None,
                  spill_bytes: Optional[int] = None,
                  crash_shards: int = 0) -> None:
@@ -265,9 +260,7 @@ class ProcessBackend(ContributionBackend):
             self.workers = 1
         self.shard_batch = shard_batch
         self.spill_bytes = DEFAULT_SPILL_BYTES if spill_bytes is None else int(spill_bytes)
-        self._inner = IncrementalBackend(step, measure, context=context,
-                                         ks_budget_bytes=ks_budget_bytes)
-        self._ks_budget_bytes = ks_budget_bytes
+        self._inner = IncrementalBackend(step, measure, context=context)
         self._crash_shards = int(crash_shards)
         #: Worker-side state cache key of this backend instance.
         self._token = uuid.uuid4().hex
@@ -512,8 +505,7 @@ class ProcessBackend(ContributionBackend):
             descriptors.append(descriptor)
         spec = StepSpec(
             descriptors=tuple(descriptors), operation=self.step.operation,
-            measure=measure_name, ks_budget_bytes=self._ks_budget_bytes,
-            label=getattr(self.step, "label", None),
+            measure=measure_name, label=getattr(self.step, "label", None),
         )
         try:
             return pickle.dumps(spec, protocol=pickle.HIGHEST_PROTOCOL)
@@ -858,8 +850,7 @@ def _build_worker_state(spec: StepSpec) -> _WorkerState:
     # The worker-global structure cache plugs in as the backend's context —
     # group-by/join structure and row provenance are then keyed by content
     # and survive this state's eviction (and the session's next step).
-    backend = IncrementalBackend(step, measure, context=_WORKER_STRUCTURES,
-                                 ks_budget_bytes=spec.ks_budget_bytes)
+    backend = IncrementalBackend(step, measure, context=_WORKER_STRUCTURES)
     return _WorkerState(step, backend)
 
 

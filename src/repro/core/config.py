@@ -115,12 +115,6 @@ class FedexConfig:
         argsorts / factorizations, row partitions, per-group partial
         aggregates, row provenance) keyed by content fingerprints.  Only
         consulted when explaining through a session.
-    ks_budget_bytes:
-        Memory budget of the batched 2-D KS pass
-        (:func:`repro.stats.ks.ks_sorted_masked_batch`): partitions whose
-        ``n_sets × n_rows`` working set would exceed the budget are
-        re-scored in set-chunks instead of one allocation.  ``None`` uses
-        the module default (:data:`repro.stats.ks.DEFAULT_KS_BUDGET_BYTES`).
     """
 
     sample_size: Optional[int] = None
@@ -143,7 +137,6 @@ class FedexConfig:
     spill_bytes: Optional[int] = None
     cache_reports: bool = True
     cache_structures: bool = True
-    ks_budget_bytes: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.sample_size is not None and self.sample_size <= 0:
@@ -173,10 +166,6 @@ class FedexConfig:
         if self.spill_bytes is not None and self.spill_bytes < 0:
             raise ExplanationError(
                 f"spill_bytes must be non-negative, got {self.spill_bytes}"
-            )
-        if self.ks_budget_bytes is not None and self.ks_budget_bytes < 1:
-            raise ExplanationError(
-                f"ks_budget_bytes must be positive, got {self.ks_budget_bytes}"
             )
 
     def with_backend(self, backend: str, workers=_UNSET) -> "FedexConfig":

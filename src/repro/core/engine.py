@@ -209,7 +209,6 @@ class FedexExplainer:
             calculator = ContributionCalculator(
                 step, chosen_measure, backend=self.config.backend,
                 backend_options={"workers": self.config.workers, "context": self.context,
-                                 "ks_budget_bytes": self.config.ks_budget_bytes,
                                  "shard_batch": self.config.shard_batch,
                                  "spill_bytes": self.config.spill_bytes},
             )

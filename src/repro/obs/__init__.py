@@ -1,6 +1,6 @@
-"""Unified telemetry: traces, metrics, export, scraping and analysis.
+"""Unified telemetry: traces, metrics, span export and analysis.
 
-Five dependency-free modules (see their docstrings for the full story):
+Four dependency-free modules (see their docstrings for the full story):
 
 * :mod:`repro.obs.trace` — per-request :class:`Tracer`/:class:`Span` trees
   with a free disabled path, ambient activation via ``REPRO_TRACE`` or
@@ -11,27 +11,28 @@ Five dependency-free modules (see their docstrings for the full story):
   collectors for hot module counters, Prometheus text exposition, the
   cross-process ``dump``/``registry_delta``/``merge`` tier, and the strict
   :func:`validate_prometheus_text` parser.
-* :mod:`repro.obs.export` — OTLP-shaped span/metrics exporters over a
-  bounded non-blocking queue with batch flush and retry/backoff, pluggable
+* :mod:`repro.obs.export` — the OTLP-shaped span exporter over a bounded
+  non-blocking queue with batch flush and retry/backoff, pluggable
   file/HTTP/callable sinks (``REPRO_OTLP_SINK``), and the
   :class:`TraceRing` of recent traces.
-* :mod:`repro.obs.server` — the stdlib scrape endpoint serving
-  ``/metrics``, ``/healthz`` and ``/traces`` (``REPRO_OBS_PORT``).
 * :mod:`repro.obs.analyze` — critical-path extraction, self-time rollups
   and flamegraph-folded output from any trace or JSONL dump.
+
+Each kind of telemetry has one way out of the process: metrics are
+scraped from ``GET /metrics``, recent traces are read from
+``GET /traces`` (both on :class:`repro.serving.ExplanationServer`), and
+spans ship through the span exporter.
 """
 
 from .analyze import TraceSummary, critical_path, folded, rollup, self_times, summarize, summarize_jsonl
 from .export import (
-    BatchExporter,
     FileSink,
     HTTPSink,
-    MetricsExporter,
     SpanExporter,
     TraceRing,
     ensure_env_exporter,
+    flush_span_exporters,
     install_span_exporter,
-    metrics_to_otlp,
     resolve_sink,
     spans_payload,
     trace_to_otlp,
@@ -50,7 +51,6 @@ from .metrics import (
     render_registries,
     validate_prometheus_text,
 )
-from .server import ObservabilityServer
 from .trace import (
     NOOP_TRACER,
     Span,
@@ -94,20 +94,17 @@ __all__ = [
     "trace_path",
     "tracing",
     "tracing_enabled",
-    "BatchExporter",
     "SpanExporter",
-    "MetricsExporter",
     "FileSink",
     "HTTPSink",
     "TraceRing",
     "resolve_sink",
     "trace_to_otlp",
     "spans_payload",
-    "metrics_to_otlp",
     "install_span_exporter",
     "uninstall_span_exporter",
+    "flush_span_exporters",
     "ensure_env_exporter",
-    "ObservabilityServer",
     "TraceSummary",
     "critical_path",
     "self_times",

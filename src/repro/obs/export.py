@@ -1,18 +1,14 @@
-"""OTLP-shaped telemetry export: spans and metrics leave the process.
+"""OTLP-shaped span export: finished traces leave the process.
 
-The tracing and metrics layers are deliberately in-process (PR 7); this
-module is the wire tier on top of them.  Two exporters share one engine,
-:class:`BatchExporter` — a bounded queue drained by a daemon thread that
-batch-flushes to a pluggable *sink* with retry and exponential backoff:
-
-* :class:`SpanExporter` converts finished :class:`~repro.obs.trace.Trace`
-  objects to OTLP/JSON ``resourceSpans`` payloads.  Install it as a trace
-  consumer (:func:`install_span_exporter`) and every owned traced request
-  ships automatically.
-* :class:`MetricsExporter` snapshots one or more
-  :class:`~repro.obs.metrics.MetricsRegistry` instances into OTLP/JSON
-  ``resourceMetrics`` payloads on demand (:meth:`MetricsExporter.push`) or
-  on a fixed period (:meth:`MetricsExporter.start_periodic`).
+The tracing layer is deliberately in-process; this module is the wire
+tier on top of it.  :class:`SpanExporter` converts finished
+:class:`~repro.obs.trace.Trace` objects to OTLP/JSON ``resourceSpans``
+payloads and ships them through a bounded queue drained by a daemon
+thread that batch-flushes to a pluggable *sink* with retry and
+exponential backoff.  Install it as a trace consumer
+(:func:`install_span_exporter`) and every owned traced request ships
+automatically.  Metrics do not leave through here: they are scraped from
+``GET /metrics`` of :class:`~repro.serving.http.ExplanationServer`.
 
 The cardinal rule is **the explain path never blocks**: ``submit`` appends
 to a bounded deque under a condition variable and returns immediately; when
@@ -33,9 +29,11 @@ Sinks are anything callable with one JSON-able payload argument;
 Setting ``REPRO_OTLP_SINK`` wires the whole thing up with zero code: the
 trace layer lazily calls :func:`ensure_env_exporter` when the first traced
 request finishes (see :func:`repro.obs.trace._notify_consumers`).
+:func:`flush_span_exporters` drains every installed exporter, however it
+was installed; the HTTP server calls it on graceful drain.
 
-:class:`TraceRing` — the bounded ring of recent finished traces behind the
-``/traces`` endpoint — lives here too, as the third standard consumer.
+:class:`TraceRing` — the bounded ring of recent finished traces behind
+``GET /traces`` — lives here too, as the other standard consumer.
 
 Stdlib only; OTLP shapes follow the OTLP/HTTP JSON encoding (hex ids,
 nanosecond epoch timestamps, ``AnyValue``-wrapped attributes) closely
@@ -50,36 +48,27 @@ import threading
 import time
 import urllib.request
 from collections import deque
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Union
 
-from .metrics import REGISTRY, MetricsRegistry
+from .metrics import REGISTRY
 from .trace import Trace, add_trace_consumer, remove_trace_consumer
 
 __all__ = [
-    "BatchExporter",
     "SpanExporter",
-    "MetricsExporter",
     "FileSink",
     "HTTPSink",
     "TraceRing",
     "resolve_sink",
     "trace_to_otlp",
     "spans_payload",
-    "metrics_to_otlp",
-    "metrics_payload",
     "install_span_exporter",
     "uninstall_span_exporter",
+    "flush_span_exporters",
     "ensure_env_exporter",
     "OTLP_SINK_ENV",
 ]
 
-# ------------------------------------------------------------------ env knobs
 OTLP_SINK_ENV = "REPRO_OTLP_SINK"
-QUEUE_ENV = "REPRO_OTLP_QUEUE"
-BATCH_ENV = "REPRO_OTLP_BATCH"
-FLUSH_ENV = "REPRO_OTLP_FLUSH_S"
-RETRY_ENV = "REPRO_OTLP_RETRIES"
-BACKOFF_ENV = "REPRO_OTLP_BACKOFF_S"
 
 DEFAULT_QUEUE_MAX = 256
 DEFAULT_BATCH_MAX = 32
@@ -92,20 +81,6 @@ DEFAULT_BACKOFF_CAP_S = 2.0
 ENV_CONSUMER_KEY = "otlp-env"
 
 _RESOURCE = {"service.name": "repro-fedex", "telemetry.sdk.name": "repro.obs"}
-
-
-def _env_int(name: str, default: int) -> int:
-    try:
-        return int(os.environ.get(name, "").strip() or default)
-    except ValueError:
-        return default
-
-
-def _env_float(name: str, default: float) -> float:
-    try:
-        return float(os.environ.get(name, "").strip() or default)
-    except ValueError:
-        return default
 
 
 # ----------------------------------------------------------------- OTLP shapes
@@ -171,74 +146,6 @@ def spans_payload(traces: Sequence[Trace],
     return {"resourceSpans": [trace_to_otlp(t, resource) for t in traces]}
 
 
-def metrics_to_otlp(registry: MetricsRegistry,
-                    resource: Optional[dict] = None) -> dict:
-    """One registry snapshot as an OTLP/JSON ``resourceMetrics`` entry."""
-    now_ns = str(int(time.time() * 1e9))
-    metrics: List[dict] = []
-    for family in registry.families():
-        points: List[dict] = []
-        if family.kind == "histogram":
-            for key, child in family.children():
-                counts, total_sum, total_count = child.state()
-                points.append({
-                    "attributes": _attributes(dict(zip(family.labelnames, key))),
-                    "timeUnixNano": now_ns,
-                    "count": str(total_count),
-                    "sum": total_sum,
-                    "bucketCounts": [str(c) for c in counts],
-                    "explicitBounds": list(child.bounds),
-                })
-            body = {"histogram": {"dataPoints": points,
-                                  "aggregationTemporality": 2}}
-        else:
-            for key, child in family.children():
-                points.append({
-                    "attributes": _attributes(dict(zip(family.labelnames, key))),
-                    "timeUnixNano": now_ns,
-                    "asDouble": child.value,
-                })
-            if family.kind == "counter":
-                body = {"sum": {"dataPoints": points,
-                                "aggregationTemporality": 2,
-                                "isMonotonic": True}}
-            else:
-                body = {"gauge": {"dataPoints": points}}
-        entry = {"name": family.name, "description": family.help}
-        entry.update(body)
-        metrics.append(entry)
-    # Collector-backed samples (hot module counters) export as gauges.
-    collected: Dict[str, dict] = {}
-    family_names = {family.name for family in registry.families()}
-    for name, kind, help_text, value, labels in registry._collect():
-        if name in family_names:
-            continue
-        entry = collected.setdefault(name, {
-            "name": name, "description": help_text,
-            "gauge": {"dataPoints": []},
-        })
-        entry["gauge"]["dataPoints"].append({
-            "attributes": _attributes(dict(labels)),
-            "timeUnixNano": now_ns,
-            "asDouble": float(value),
-        })
-    metrics.extend(collected.values())
-    merged = dict(_RESOURCE)
-    merged.update(resource or {})
-    return {
-        "resource": {"attributes": _attributes(merged)},
-        "scopeMetrics": [{
-            "scope": {"name": "repro.obs", "version": "1"},
-            "metrics": metrics,
-        }],
-    }
-
-
-def metrics_payload(entries: Sequence[dict]) -> dict:
-    """A batch of ``resourceMetrics`` entries as one export request body."""
-    return {"resourceMetrics": list(entries)}
-
-
 # ----------------------------------------------------------------------- sinks
 class FileSink:
     """Appends one JSON payload per line to a file (JSONL of export batches)."""
@@ -300,7 +207,7 @@ _EXPORT_BATCHES = REGISTRY.counter(
     ("signal",))
 _EXPORT_ITEMS = REGISTRY.counter(
     "repro_export_items_total",
-    "Items (traces / metric snapshots) delivered to the sink, by signal.",
+    "Items (finished traces) delivered to the sink, by signal.",
     ("signal",))
 _EXPORT_DROPPED = REGISTRY.counter(
     "repro_export_dropped_total",
@@ -318,39 +225,36 @@ _EXPORT_QUEUE_DEPTH = REGISTRY.gauge(
 
 
 # -------------------------------------------------------------------- exporter
-class BatchExporter:
-    """A bounded background queue flushing batches to a sink, with retry.
+class SpanExporter:
+    """Ships finished traces as OTLP/JSON ``resourceSpans`` batches.
 
-    Subclasses define ``signal`` (metric label) and ``_payload(batch)``.
-    ``submit`` is the only producer API and is wait-free for the caller:
-    it either enqueues and returns ``True`` or counts a drop and returns
-    ``False``.  One daemon thread drains the queue; a sink stalled inside a
-    delivery only ever stalls that thread — the queue fills, producers keep
-    returning immediately.
+    A bounded background queue flushing batches to a sink, with retry.
+    ``submit`` (and its trace-consumer alias ``export``) is the only
+    producer API and is wait-free for the caller: it either enqueues and
+    returns ``True`` or counts a drop and returns ``False``.  One daemon
+    thread drains the queue; a sink stalled inside a delivery only ever
+    stalls that thread — the queue fills, producers keep returning
+    immediately.
     """
 
+    #: The ``signal`` label of this exporter's ``repro_export_*`` series.
     signal = "spans"
 
     def __init__(self, sink: SinkSpec, *,
-                 queue_max: Optional[int] = None,
-                 batch_max: Optional[int] = None,
-                 flush_interval_s: Optional[float] = None,
-                 retry_max: Optional[int] = None,
-                 backoff_base_s: Optional[float] = None,
+                 queue_max: int = DEFAULT_QUEUE_MAX,
+                 batch_max: int = DEFAULT_BATCH_MAX,
+                 flush_interval_s: float = DEFAULT_FLUSH_INTERVAL_S,
+                 retry_max: int = DEFAULT_RETRY_MAX,
+                 backoff_base_s: float = DEFAULT_BACKOFF_BASE_S,
                  backoff_cap_s: float = DEFAULT_BACKOFF_CAP_S,
                  resource: Optional[dict] = None,
                  name: Optional[str] = None) -> None:
         self._sink = resolve_sink(sink)
-        self._queue_max = max(1, queue_max if queue_max is not None
-                              else _env_int(QUEUE_ENV, DEFAULT_QUEUE_MAX))
-        self._batch_max = max(1, batch_max if batch_max is not None
-                              else _env_int(BATCH_ENV, DEFAULT_BATCH_MAX))
-        self._flush_interval_s = (flush_interval_s if flush_interval_s is not None
-                                  else _env_float(FLUSH_ENV, DEFAULT_FLUSH_INTERVAL_S))
-        self._retry_max = max(0, retry_max if retry_max is not None
-                              else _env_int(RETRY_ENV, DEFAULT_RETRY_MAX))
-        self._backoff_base_s = (backoff_base_s if backoff_base_s is not None
-                                else _env_float(BACKOFF_ENV, DEFAULT_BACKOFF_BASE_S))
+        self._queue_max = max(1, queue_max)
+        self._batch_max = max(1, batch_max)
+        self._flush_interval_s = flush_interval_s
+        self._retry_max = max(0, retry_max)
+        self._backoff_base_s = backoff_base_s
         self._backoff_cap_s = backoff_cap_s
         self._resource = dict(resource or {})
         self._cond = threading.Condition()
@@ -367,8 +271,8 @@ class BatchExporter:
         self._thread.start()
 
     # ----------------------------------------------------------------- producer
-    def submit(self, item) -> bool:
-        """Enqueue one item; never blocks.  ``False`` means dropped+counted."""
+    def submit(self, item: Trace) -> bool:
+        """Enqueue one trace; never blocks.  ``False`` means dropped+counted."""
         with self._cond:
             if self._closed:
                 self.dropped += 1
@@ -385,6 +289,10 @@ class BatchExporter:
                 return True
         _EXPORT_DROPPED.labels(signal=self.signal, reason=reason).inc()
         return False
+
+    def export(self, trace: Trace) -> bool:
+        """Trace-consumer entry point (``add_trace_consumer`` compatible)."""
+        return self.submit(trace)
 
     # ------------------------------------------------------------------- control
     def flush(self, timeout_s: float = 5.0) -> bool:
@@ -418,16 +326,13 @@ class BatchExporter:
                 "queued": len(self._items),
             }
 
-    def __enter__(self) -> "BatchExporter":
+    def __enter__(self) -> "SpanExporter":
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
         self.close()
 
     # -------------------------------------------------------------------- worker
-    def _payload(self, batch: List) -> dict:  # pragma: no cover - abstract
-        raise NotImplementedError
-
     def _run(self) -> None:
         while True:
             with self._cond:
@@ -447,9 +352,9 @@ class BatchExporter:
                     self._inflight = 0
                     self._cond.notify_all()
 
-    def _deliver(self, batch: List) -> None:
+    def _deliver(self, batch: List[Trace]) -> None:
         try:
-            payload = self._payload(batch)
+            payload = spans_payload(batch, self._resource)
         except Exception:
             self._count_drop(len(batch), "encode_error")
             return
@@ -477,62 +382,6 @@ class BatchExporter:
         with self._cond:
             self.dropped += amount
         _EXPORT_DROPPED.labels(signal=self.signal, reason=reason).inc(amount)
-
-
-class SpanExporter(BatchExporter):
-    """Ships finished traces as OTLP/JSON ``resourceSpans`` batches."""
-
-    signal = "spans"
-
-    def export(self, trace: Trace) -> bool:
-        """Trace-consumer entry point (``add_trace_consumer`` compatible)."""
-        return self.submit(trace)
-
-    def _payload(self, batch: List[Trace]) -> dict:
-        return spans_payload(batch, self._resource)
-
-
-class MetricsExporter(BatchExporter):
-    """Ships registry snapshots as OTLP/JSON ``resourceMetrics`` batches."""
-
-    signal = "metrics"
-
-    def __init__(self, sink: SinkSpec,
-                 registries: Optional[Sequence[MetricsRegistry]] = None,
-                 **kwargs) -> None:
-        self._registries = list(registries) if registries is not None else [REGISTRY]
-        self._periodic: Optional[threading.Thread] = None
-        self._periodic_stop = threading.Event()
-        super().__init__(sink, **kwargs)
-
-    def push(self) -> bool:
-        """Snapshot every registry now and enqueue the combined entry list."""
-        entries = [metrics_to_otlp(registry, self._resource)
-                   for registry in self._registries]
-        return self.submit(entries)
-
-    def start_periodic(self, interval_s: float = 10.0) -> None:
-        """Push snapshots every ``interval_s`` until :meth:`close`."""
-        if self._periodic is not None:
-            return
-
-        def loop() -> None:
-            while not self._periodic_stop.wait(interval_s):
-                self.push()
-
-        self._periodic = threading.Thread(
-            target=loop, daemon=True, name="repro-export-metrics-periodic")
-        self._periodic.start()
-
-    def close(self, timeout_s: float = 5.0) -> None:
-        self._periodic_stop.set()
-        if self._periodic is not None:
-            self._periodic.join(timeout_s)
-            self._periodic = None
-        super().close(timeout_s)
-
-    def _payload(self, batch: List[List[dict]]) -> dict:
-        return metrics_payload([entry for entries in batch for entry in entries])
 
 
 # ------------------------------------------------------------------ trace ring
@@ -564,7 +413,9 @@ class TraceRing:
             return len(self._traces)
 
 
-# ------------------------------------------------------------ env auto-install
+# ---------------------------------------------------------- installed exporters
+_INSTALLED_LOCK = threading.Lock()
+_INSTALLED: Dict[str, SpanExporter] = {}
 _ENV_LOCK = threading.Lock()
 _ENV_EXPORTER: Optional[SpanExporter] = None
 _ENV_SPEC: Optional[str] = None
@@ -572,11 +423,30 @@ _ENV_SPEC: Optional[str] = None
 
 def install_span_exporter(exporter: SpanExporter, key: str = "otlp") -> None:
     """Register an exporter so every finished owned trace ships through it."""
+    with _INSTALLED_LOCK:
+        _INSTALLED[key] = exporter
     add_trace_consumer(key, exporter.export)
 
 
 def uninstall_span_exporter(key: str = "otlp") -> None:
     remove_trace_consumer(key)
+    with _INSTALLED_LOCK:
+        _INSTALLED.pop(key, None)
+
+
+def flush_span_exporters(timeout_s: float = 5.0) -> bool:
+    """Drain every installed exporter within one shared deadline.
+
+    Covers exporters installed by :func:`install_span_exporter` and the
+    ``REPRO_OTLP_SINK`` one; ``True`` when every queue emptied in time.
+    """
+    with _INSTALLED_LOCK:
+        exporters = list(_INSTALLED.values())
+    deadline = time.monotonic() + timeout_s
+    drained = True
+    for exporter in exporters:
+        drained = exporter.flush(deadline - time.monotonic()) and drained
+    return drained
 
 
 def ensure_env_exporter() -> Optional[SpanExporter]:
@@ -592,11 +462,11 @@ def ensure_env_exporter() -> Optional[SpanExporter]:
         if spec == _ENV_SPEC:
             return _ENV_EXPORTER
         if _ENV_EXPORTER is not None:
-            remove_trace_consumer(ENV_CONSUMER_KEY)
+            uninstall_span_exporter(ENV_CONSUMER_KEY)
             _ENV_EXPORTER.close(timeout_s=1.0)
             _ENV_EXPORTER = None
         _ENV_SPEC = spec
         if spec:
             _ENV_EXPORTER = SpanExporter(spec)
-            add_trace_consumer(ENV_CONSUMER_KEY, _ENV_EXPORTER.export)
+            install_span_exporter(_ENV_EXPORTER, ENV_CONSUMER_KEY)
         return _ENV_EXPORTER

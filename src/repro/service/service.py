@@ -45,7 +45,6 @@ then submit.
 from __future__ import annotations
 
 import contextvars
-import os
 import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
@@ -142,18 +141,6 @@ class ExplanationService:
             max_workers=self.service_config.workers,
             thread_name_prefix="fedex-service",
         )
-        self._obs_server = None
-        self._obs_consumer_key: Optional[str] = None
-        self._obs_exporter = None
-        if os.environ.get("REPRO_OBS_PORT", "").strip():
-            # Zero-code observability: REPRO_OBS_PORT=<port> serves this
-            # service's /metrics, /healthz and /traces on construction.  A
-            # bind failure (port taken by another replica) must not take
-            # the service down with it.
-            try:
-                self.attach_observability()
-            except OSError:
-                pass
 
     # ------------------------------------------------------------------ public
     def open(self, tenant: str, frame: DataFrame,
@@ -318,45 +305,6 @@ class ExplanationService:
             ("", _GLOBAL_REGISTRY),
         ])
 
-    def attach_observability(self, port: Optional[int] = None,
-                             host: str = "127.0.0.1",
-                             ring_capacity: int = 64,
-                             export_sink=None):
-        """Serve this service's telemetry over HTTP; returns the server.
-
-        Starts a :class:`~repro.obs.server.ObservabilityServer` bound to
-        ``host:port`` (``port=None`` honours ``REPRO_OBS_PORT``, else picks
-        an ephemeral port) whose ``/metrics`` is :meth:`render_metrics`,
-        whose ``/traces`` ring is fed every finished traced request, and
-        whose ``/healthz`` reports tenant/worker state.  ``export_sink``
-        additionally installs a span exporter (file path, URL or callable —
-        see :func:`repro.obs.export.resolve_sink`).  Idempotent; the server
-        shuts down with :meth:`close`.
-        """
-        if self._obs_server is not None:
-            return self._obs_server
-        from ..obs.export import SpanExporter, TraceRing
-        from ..obs.server import ObservabilityServer
-        from ..obs.trace import add_trace_consumer
-
-        ring = TraceRing(capacity=ring_capacity)
-        server = ObservabilityServer(
-            metrics_text=self.render_metrics,
-            health=self._health,
-            ring=ring,
-            host=host,
-            port=port,
-        ).start()
-        key = f"service-ring-{id(self)}"
-        add_trace_consumer(key, ring.add)
-        self._obs_server = server
-        self._obs_consumer_key = key
-        if export_sink is not None:
-            exporter = SpanExporter(export_sink)
-            add_trace_consumer(f"{key}-otlp", exporter.export)
-            self._obs_exporter = exporter
-        return server
-
     def _health(self) -> Dict[str, object]:
         with self._state_lock:
             tenants = len(self._sessions)
@@ -371,34 +319,9 @@ class ExplanationService:
         """Snapshot the shared store (see :meth:`CacheStore.save`)."""
         return self.store.save(path)
 
-    def flush_observability(self, timeout_s: float = 5.0) -> bool:
-        """Flush any attached span exporter's queue; True when fully drained.
-
-        The graceful-drain path of the HTTP front end: before a server
-        reports itself drained, every span already queued for export must
-        have reached the sink.  A service with no exporter attached is
-        trivially drained.
-        """
-        exporter = self._obs_exporter
-        if exporter is None:
-            return True
-        return exporter.flush(timeout_s)
-
     def close(self, wait: bool = True) -> None:
-        """Stop accepting requests, detach observability, shut the pool down."""
+        """Stop accepting requests and shut the worker pool down."""
         self._closed = True
-        if self._obs_consumer_key is not None:
-            from ..obs.trace import remove_trace_consumer
-
-            remove_trace_consumer(self._obs_consumer_key)
-            remove_trace_consumer(f"{self._obs_consumer_key}-otlp")
-            self._obs_consumer_key = None
-        if self._obs_exporter is not None:
-            self._obs_exporter.close()
-            self._obs_exporter = None
-        if self._obs_server is not None:
-            self._obs_server.close()
-            self._obs_server = None
         self._executor.shutdown(wait=wait)
 
     def __enter__(self) -> "ExplanationService":

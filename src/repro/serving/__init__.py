@@ -7,9 +7,10 @@ The stack, bottom-up:
   serialisation of reports.
 * :mod:`repro.serving.auth` — per-tenant bearer tokens, compared in
   constant time.
-* :mod:`repro.serving.http` — the stdlib-only asyncio HTTP/1.1 server:
-  JSON explain, chunked-NDJSON streaming of partial results, health,
-  metrics, and graceful drain.
+* :mod:`repro.serving.http` — the stdlib-only asyncio HTTP/1.1 server,
+  the only HTTP server in the process: JSON explain, chunked-NDJSON
+  streaming of partial results, health, metrics, recent traces, and
+  graceful drain.
 * :mod:`repro.serving.cache_tier` — the disk-backed shared cache segment
   replicas promote :class:`~repro.session.store.CacheStore` entries into,
   invalidated fleet-wide by manifest-version epoch keys.

@@ -1,6 +1,7 @@
 """A stdlib-only asyncio HTTP front end over :class:`ExplanationService`.
 
-One :class:`ExplanationServer` exposes one service over HTTP/1.1:
+One :class:`ExplanationServer` exposes one service over HTTP/1.1; it is
+the process's only HTTP surface, telemetry routes included:
 
 * ``GET /healthz`` — liveness JSON; always 200, with a ``status`` field of
   ``ok`` / ``draining`` so load balancers can stop routing before the
@@ -8,6 +9,14 @@ One :class:`ExplanationServer` exposes one service over HTTP/1.1:
 * ``GET /metrics`` — the service's merged Prometheus document
   (:meth:`ExplanationService.render_metrics`, which reuses the
   :mod:`repro.obs` registries).
+* ``GET /traces`` — the most recent finished traces of this process,
+  newest first, each with its critical path (``?limit=N``, default 16,
+  clamped to [0, 1024]; ``?spans=1`` inlines the span dicts).  A 64-trace
+  :class:`~repro.obs.export.TraceRing` is registered as a trace consumer
+  while the server runs; only traced requests (``REPRO_TRACE``) feed it.
+  Like ``/healthz`` and ``/metrics`` it needs no token: spans carry
+  operation kinds, counts and lock-file names, never tenants, query text
+  or data values.
 * ``POST /explain`` — a validated query (see :mod:`repro.serving.protocol`)
   explained to completion; the full report as one JSON document.
 * ``POST /explain/stream`` — the same request, answered as chunked NDJSON:
@@ -25,11 +34,17 @@ an ``asyncio.Queue``; because the worker thread emits every progress event
 before resolving the future, FIFO scheduling guarantees the stream never
 drops a trailing event.
 
+Request framing is strict: a ``Content-Length`` must be plain decimal
+digits (else ``400``), a ``Transfer-Encoding`` is refused with ``501``
+(no transfer coding is decoded), and a body that stalls past
+``keep_alive_s`` or ends short closes the connection unanswered.
+
 Graceful drain (:meth:`close`): the listener keeps accepting so new
 explain requests get an honest ``503`` (``/healthz`` reports ``draining``),
 in-flight requests — including mid-stream responses — run to completion,
-the span exporter is flushed, and only then does the loop stop.  ``close``
-is idempotent and safe under concurrent callers: one drains, the rest wait.
+every installed span exporter is flushed, and only then does the loop
+stop.  ``close`` is idempotent and safe under concurrent callers: one
+drains, the rest wait.
 """
 
 from __future__ import annotations
@@ -37,7 +52,8 @@ from __future__ import annotations
 import asyncio
 import functools
 import threading
-from typing import Awaitable, Callable, Dict, Mapping, Optional, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Tuple
+from urllib.parse import parse_qs
 
 from ..errors import (
     ReproError,
@@ -47,6 +63,9 @@ from ..errors import (
     ServingError,
     ServingRequestError,
 )
+from ..obs.analyze import critical_path
+from ..obs.export import TraceRing, flush_span_exporters
+from ..obs.trace import add_trace_consumer, remove_trace_consumer
 from .auth import TokenAuthenticator
 from .protocol import parse_explain_request, report_document, dump_json
 
@@ -59,14 +78,23 @@ MAX_HEAD_BYTES = 32 * 1024
 #: protocol layer enforces its own tighter 400-level limit after.
 MAX_BODY_BYTES = 256 * 1024
 
-#: An idle keep-alive connection is dropped after this many seconds.
+#: An idle keep-alive connection, or a request body that stops arriving,
+#: is dropped after this many seconds.
 DEFAULT_KEEP_ALIVE_S = 30.0
+
+#: Upper bound on ``/traces?limit=``: the ring is small, but the response
+#: document must stay bounded no matter what a client asks for.
+MAX_TRACE_LIMIT = 1_024
+
+#: Content type of the Prometheus text exposition format.
+PROMETHEUS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 
 _REASONS = {
     200: "OK", 400: "Bad Request", 401: "Unauthorized", 404: "Not Found",
     405: "Method Not Allowed", 413: "Payload Too Large",
     429: "Too Many Requests", 431: "Request Header Fields Too Large",
-    500: "Internal Server Error", 503: "Service Unavailable",
+    500: "Internal Server Error", 501: "Not Implemented",
+    503: "Service Unavailable",
 }
 
 
@@ -141,6 +169,8 @@ class ExplanationServer:
         self._close_lock = threading.Lock()
         self._close_started = False
         self._closed_event = threading.Event()
+        self._ring = TraceRing()
+        self._ring_key = f"serving-traces-{id(self)}"
 
     # ----------------------------------------------------------------- lifecycle
     def start(self) -> "ExplanationServer":
@@ -157,6 +187,7 @@ class ExplanationServer:
             self._thread = None
             self._startup_error = None
             raise error
+        add_trace_consumer(self._ring_key, self._ring.add)
         return self
 
     @property
@@ -175,9 +206,10 @@ class ExplanationServer:
         The listener stays open through the drain so new explain requests
         receive ``503`` (and ``/healthz`` reports ``draining``); requests
         already admitted — including streams mid-response — finish
-        normally, the span exporter is flushed, and only then is the loop
-        stopped.  A second (or concurrent) caller waits for the first
-        drain to complete instead of racing it.
+        normally, every installed span exporter is flushed, and only then
+        is the loop stopped and the ``/traces`` ring unregistered.  A
+        second (or concurrent) caller waits for the first drain to
+        complete instead of racing it.
         """
         with self._close_lock:
             already = self._close_started
@@ -199,14 +231,12 @@ class ExplanationServer:
                     lambda: self._inflight == 0, timeout=deadline)
             # Every admitted request has answered; exported spans must land
             # before the process that holds the queue goes away.
-            try:
-                self.service.flush_observability()
-            except Exception:
-                pass
+            flush_span_exporters()
             loop = self._loop
             if loop is not None and not loop.is_closed():
                 loop.call_soon_threadsafe(self._begin_shutdown)
             self._thread.join(timeout=10.0)
+            remove_trace_consumer(self._ring_key)
         finally:
             self._closed_event.set()
 
@@ -277,24 +307,19 @@ class ExplanationServer:
                     break
                 try:
                     method, target, headers = _parse_head(head)
+                    length = _body_length(headers)
                 except ServingRequestError as error:
                     await self._respond_json(
-                        writer, 400, _error_document(error), keep_alive=False)
-                    break
-                try:
-                    length = int(headers.get("content-length", "0") or 0)
-                except ValueError:
-                    await self._respond_json(
-                        writer, 400, _error_document(ServingRequestError(
-                            "invalid Content-Length")), keep_alive=False)
-                    break
-                if length > MAX_BODY_BYTES:
-                    await self._respond_json(
-                        writer, 413, _error_document(ServingRequestError(
-                            f"request body of {length} bytes refused")),
+                        writer, _status_of(error), _error_document(error),
                         keep_alive=False)
                     break
-                body = await reader.readexactly(length) if length else b""
+                body = b""
+                if length:
+                    try:
+                        async with asyncio.timeout(self.keep_alive_s):
+                            body = await reader.readexactly(length)
+                    except (asyncio.IncompleteReadError, TimeoutError):
+                        break  # the body ended short or stalled: no request
                 keep_alive = headers.get("connection", "").lower() != "close"
                 keep_alive = await self._dispatch(
                     writer, method, target, headers, body, keep_alive)
@@ -312,7 +337,7 @@ class ExplanationServer:
     async def _dispatch(self, writer, method: str, target: str,
                         headers: Dict[str, str], body: bytes,
                         keep_alive: bool) -> bool:
-        path = target.split("?", 1)[0]
+        path, _, query = target.partition("?")
         try:
             if path == "/healthz" and method == "GET":
                 await self._respond_json(writer, 200, self._health_document(),
@@ -320,14 +345,18 @@ class ExplanationServer:
             elif path == "/metrics" and method == "GET":
                 text = self.service.render_metrics().encode("utf-8")
                 await self._respond(writer, 200, text,
-                                    content_type="text/plain; version=0.0.4",
+                                    content_type=PROMETHEUS_CONTENT_TYPE,
                                     keep_alive=keep_alive)
+            elif path == "/traces" and method == "GET":
+                await self._respond_json(writer, 200,
+                                         self._traces_document(query),
+                                         keep_alive=keep_alive)
             elif path == "/explain" and method == "POST":
                 await self._handle_explain(writer, headers, body, keep_alive)
             elif path == "/explain/stream" and method == "POST":
                 keep_alive = await self._handle_stream(
                     writer, headers, body, keep_alive)
-            elif path in ("/healthz", "/metrics", "/explain",
+            elif path in ("/healthz", "/metrics", "/traces", "/explain",
                           "/explain/stream"):
                 await self._respond_json(
                     writer, 405, {"error": f"method {method} not allowed"},
@@ -361,6 +390,15 @@ class ExplanationServer:
         except Exception:
             pass
         return document
+
+    def _traces_document(self, query: str) -> Dict[str, object]:
+        params = parse_qs(query)
+        limit = _int_param(params, "limit", default=16, cap=MAX_TRACE_LIMIT)
+        with_spans = _int_param(params, "spans", default=0, cap=1) > 0
+        traces = self._ring.traces()[:limit]
+        return {"count": len(traces),
+                "traces": [_trace_document(trace, with_spans)
+                           for trace in traces]}
 
     def _admit(self, headers: Dict[str, str]) -> str:
         """Auth + drain checks shared by both explain routes.
@@ -528,6 +566,70 @@ async def _send_chunk(writer, payload: bytes) -> None:
     line = payload + b"\n"
     writer.write(f"{len(line):X}\r\n".encode("ascii") + line + b"\r\n")
     await writer.drain()
+
+
+def _refused(status: int, message: str) -> ServingRequestError:
+    error = ServingRequestError(message)
+    error.http_status = status
+    return error
+
+
+def _body_length(headers: Dict[str, str]) -> int:
+    """The declared body length of a request the server can frame.
+
+    Only plain decimal digits are a valid ``Content-Length`` (a ``-5``
+    must not reach ``readexactly``).  A ``Transfer-Encoding`` is refused
+    outright: no transfer coding is decoded here (RFC 9112 §6.1), so its
+    body would otherwise be read as empty and its chunks parsed as the
+    next request.
+    """
+    if "transfer-encoding" in headers:
+        raise _refused(501, "Transfer-Encoding is not supported; "
+                            "send a Content-Length body")
+    raw = headers.get("content-length", "")
+    if not raw:
+        return 0
+    if not (raw.isascii() and raw.isdigit()):
+        raise _refused(400, f"invalid Content-Length: {raw!r}")
+    length = int(raw)
+    if length > MAX_BODY_BYTES:
+        raise _refused(413, f"request body of {length} bytes refused")
+    return length
+
+
+def _int_param(query: Dict[str, List[str]], key: str, default: int,
+               cap: int) -> int:
+    """An integer query parameter clamped into ``[0, cap]``.
+
+    A missing parameter uses ``default``; a present but non-numeric value
+    is a 400 (a silent fallback would mask client typos), and out-of-range
+    values are clamped — a negative limit must not slice from the wrong
+    end, a huge one must not build an unbounded document.
+    """
+    raw = query.get(key)
+    if raw is None:
+        return max(0, min(default, cap))
+    try:
+        value = int(raw[0])
+    except (TypeError, ValueError):
+        raise ServingRequestError(
+            f"query parameter {key!r} must be an integer, got {raw[0]!r}"
+        ) from None
+    return max(0, min(value, cap))
+
+
+def _trace_document(trace, with_spans: bool) -> Dict[str, object]:
+    path = critical_path(trace)
+    document: Dict[str, object] = {
+        "trace_id": trace.trace_id,
+        "root": path[0].name if path else None,
+        "wall_s": path[0].wall_s if path else 0.0,
+        "span_count": len(trace.spans),
+        "critical_path": [step.to_dict() for step in path],
+    }
+    if with_spans:
+        document["spans"] = trace.to_dicts()
+    return document
 
 
 def _parse_head(head: bytes) -> Tuple[str, str, Dict[str, str]]:

@@ -1,4 +1,5 @@
-"""The export tier: OTLP shapes, sinks, the bounded queue, retry, env wiring."""
+"""The span export tier: OTLP shapes, sinks, the bounded queue, retry,
+env wiring and flushing every installed exporter."""
 
 from __future__ import annotations
 
@@ -11,16 +12,16 @@ import pytest
 from repro.obs.export import (
     FileSink,
     HTTPSink,
-    MetricsExporter,
     SpanExporter,
     TraceRing,
     ensure_env_exporter,
-    metrics_to_otlp,
+    flush_span_exporters,
+    install_span_exporter,
     resolve_sink,
     spans_payload,
     trace_to_otlp,
+    uninstall_span_exporter,
 )
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import (
     Tracer,
     add_trace_consumer,
@@ -83,30 +84,6 @@ class TestOtlpShapes:
         payload = spans_payload([_sample_trace(), _sample_trace()])
         parsed = json.loads(json.dumps(payload))
         assert len(parsed["resourceSpans"]) == 2
-
-    def test_metrics_histogram_shape(self):
-        registry = MetricsRegistry()
-        family = registry.histogram("repro_y_seconds", "lat", buckets=(1.0, 2.0))
-        family.observe(0.5)
-        registry.counter("repro_x_total", labelnames=("t",)).labels(t="a").inc(2)
-        entry = metrics_to_otlp(registry)
-        metrics = {m["name"]: m for m in entry["scopeMetrics"][0]["metrics"]}
-        histogram = metrics["repro_y_seconds"]["histogram"]["dataPoints"][0]
-        assert len(histogram["bucketCounts"]) == len(histogram["explicitBounds"]) + 1
-        assert histogram["count"] == "1"
-        total = metrics["repro_x_total"]["sum"]
-        assert total["isMonotonic"] is True
-        assert total["dataPoints"][0]["asDouble"] == 2.0
-        json.dumps(entry)
-
-    def test_collector_samples_export_as_gauges(self):
-        registry = MetricsRegistry()
-        registry.register_collector("mod", lambda: [
-            ("repro_mod_total", "counter", "", 4.0, {"shard": "s"})])
-        entry = metrics_to_otlp(registry)
-        metrics = {m["name"]: m for m in entry["scopeMetrics"][0]["metrics"]}
-        assert metrics["repro_mod_total"]["gauge"]["dataPoints"][0]["asDouble"] == 4.0
-
 
 # ---------------------------------------------------------------------- sinks
 class TestSinks:
@@ -224,36 +201,6 @@ class TestSpanExporter:
         assert exporter.stats()["dropped"] == 1
 
 
-class TestMetricsExporter:
-    def test_push_ships_every_registry(self):
-        first, second = MetricsRegistry(), MetricsRegistry()
-        first.counter("repro_a_total").inc(1)
-        second.counter("repro_b_total").inc(2)
-        payloads = []
-        exporter = MetricsExporter(payloads.append, registries=[first, second],
-                                   flush_interval_s=0.02)
-        assert exporter.push()
-        _drain(exporter)
-        exporter.close()
-        (payload,) = payloads
-        names = [metric["name"]
-                 for entry in payload["resourceMetrics"]
-                 for scope in entry["scopeMetrics"]
-                 for metric in scope["metrics"]]
-        assert "repro_a_total" in names and "repro_b_total" in names
-
-    def test_periodic_push(self):
-        payloads = []
-        registry = MetricsRegistry()
-        registry.counter("repro_a_total").inc(1)
-        exporter = MetricsExporter(payloads.append, registries=[registry],
-                                   flush_interval_s=0.01)
-        exporter.start_periodic(0.02)
-        time.sleep(0.15)
-        exporter.close()
-        assert len(payloads) >= 2
-
-
 # ----------------------------------------------------------------- trace ring
 class TestTraceRing:
     def test_bounded_most_recent_first(self):
@@ -314,3 +261,29 @@ class TestTraceConsumers:
         assert "explain" in path.read_text()
         monkeypatch.delenv("REPRO_OTLP_SINK")
         assert ensure_env_exporter() is None
+
+    def test_flush_covers_installed_and_env_exporters(self, tmp_path,
+                                                      monkeypatch):
+        delivered = []
+
+        def slow_sink(payload):
+            time.sleep(0.2)  # still delivering when the flush starts
+            delivered.append(payload)
+
+        installed = SpanExporter(slow_sink)
+        install_span_exporter(installed, key="flush-test")
+        monkeypatch.setenv("REPRO_OTLP_SINK", str(tmp_path / "env.jsonl"))
+        try:
+            with tracing(True):
+                tracer, token = begin_request()
+                with tracer.span("explain"):
+                    pass
+                end_request(tracer, token)
+            assert flush_span_exporters(5.0)
+            assert len(delivered) == 1
+            assert "explain" in (tmp_path / "env.jsonl").read_text()
+        finally:
+            uninstall_span_exporter("flush-test")
+            installed.close()
+            monkeypatch.delenv("REPRO_OTLP_SINK")
+            ensure_env_exporter()

@@ -466,47 +466,39 @@ class TestObservability:
         assert report.trace is not None
         assert [span.name for span in report.trace.children(None)] == ["explain"]
 
-    def test_attach_observability_serves_and_detaches(self, service, spotify_small):
+    def test_traced_request_appears_in_server_traces(self, service,
+                                                     spotify_small,
+                                                     monkeypatch):
+        """A request traced through ExplanationServer is served by its own
+        ``/traces``; ``close()`` unregisters the ring's trace consumer."""
         import json
         import urllib.request
 
-        from repro.obs.metrics import validate_prometheus_text
+        from repro.obs.trace import begin_request, end_request
+        from repro.serving import ExplanationServer
 
-        server = service.attach_observability()
-        assert service.attach_observability() is server  # idempotent
-        with repro.tracing():
-            service.explain("alice", _steps(spotify_small)[0])
-
-        with urllib.request.urlopen(server.url + "/metrics", timeout=5) as r:
-            families = validate_prometheus_text(r.read().decode("utf-8"))
-        assert families["repro_service_requests_total"] == "counter"
-
-        with urllib.request.urlopen(server.url + "/healthz", timeout=5) as r:
-            health = json.loads(r.read())
-        assert health["status"] == "ok"
-        assert health["tenants"] == 1
-        assert health["workers"] == service.service_config.workers
-
-        with urllib.request.urlopen(server.url + "/traces", timeout=5) as r:
-            traces = json.loads(r.read())
+        monkeypatch.setenv("REPRO_TRACE", "1")
+        server = ExplanationServer(service,
+                                   frames={"spotify": spotify_small}).start()
+        try:
+            body = json.dumps({"query": "SELECT * FROM spotify "
+                                        "WHERE popularity > 65"}).encode()
+            request = urllib.request.Request(server.url + "/explain", data=body)
+            with urllib.request.urlopen(request, timeout=60) as response:
+                assert response.status == 200
+            with urllib.request.urlopen(server.url + "/traces", timeout=5) as r:
+                traces = json.loads(r.read())
+        finally:
+            server.close()
         assert traces["count"] >= 1
-        assert traces["traces"][0]["root"] == "explain"
-        assert traces["traces"][0]["critical_path"]
+        newest = traces["traces"][0]
+        assert newest["root"] == "explain"
+        assert newest["critical_path"][0]["name"] == "explain"
 
-        service.close()
-        # The socket is gone and later traced requests leak nowhere.
-        with pytest.raises(Exception):
-            urllib.request.urlopen(server.url + "/healthz", timeout=0.5)
-
-    def test_attach_observability_with_export_sink(
-            self, service, spotify_small, tmp_path):
-        path = tmp_path / "otlp.jsonl"
-        service.attach_observability(export_sink=str(path))
-        with repro.tracing():
-            service.explain("alice", _steps(spotify_small)[0])
-        exporter = service._obs_exporter
-        assert exporter.flush(5.0)
-        assert '"name": "explain"' in path.read_text()
-        service.close()
-        assert service._obs_exporter is None  # close() detached it
-        assert exporter.stats()["exported"] >= 1
+        # After close() later traced requests reach no ring of this server.
+        kept = len(server._ring)
+        tracer, token = begin_request()
+        with tracer.span("explain"):
+            pass
+        assert end_request(tracer, token) is not None
+        assert len(server._ring) == kept

@@ -1,17 +1,24 @@
 """Graceful drain: in-flight work completes, new work is shed, close is
-idempotent under concurrent callers, and the exporter is flushed."""
+idempotent under concurrent callers, and installed span exporters are
+flushed."""
 
 from __future__ import annotations
 
 import http.client
 import json
 import threading
+import time
 import urllib.error
 import urllib.request
 
 import pytest
 
 from repro import ExplanationService, ServiceConfig
+from repro.obs.export import (
+    SpanExporter,
+    install_span_exporter,
+    uninstall_span_exporter,
+)
 from repro.serving import ExplanationServer
 
 
@@ -128,21 +135,36 @@ class TestDrain:
         assert "progress" in kinds
         assert kinds[-1] == "report"
 
-    def test_close_flushes_the_exporter(self, spotify_small, tmp_path,
-                                        monkeypatch):
-        service = ExplanationService()
-        service.attach_observability(export_sink=str(tmp_path / "spans.jsonl"))
+    def test_close_flushes_the_exporter(self, spotify_small, monkeypatch):
+        delivered = []
+
+        def slow_sink(payload):
+            time.sleep(0.5)  # still delivering when close() is called
+            delivered.append(payload)
+
+        exporter = SpanExporter(slow_sink)
+        install_span_exporter(exporter, key="drain-test")
         monkeypatch.setenv("REPRO_TRACE", "1")
+        service = ExplanationService()
         server = ExplanationServer(service,
                                    frames={"spotify": spotify_small}).start()
-        status, _ = _post(server)
-        assert status == 200
-        server.close()
-        # Every span of the served request reached the sink before close()
-        # returned — nothing left queued.
-        contents = (tmp_path / "spans.jsonl").read_text()
-        assert '"name": "explain"' in contents
-        service.close()
+        try:
+            status, _ = _post(server)
+            assert status == 200
+            server.close()
+            # Every span of the served request reached the sink before
+            # close() returned — nothing left queued.
+            names = [span["name"]
+                     for payload in delivered
+                     for entry in payload["resourceSpans"]
+                     for scope in entry["scopeSpans"]
+                     for span in scope["spans"]]
+            assert "explain" in names
+            assert exporter.stats()["queued"] == 0
+        finally:
+            uninstall_span_exporter("drain-test")
+            exporter.close()
+            service.close()
 
     def test_concurrent_close_is_idempotent(self, slow_served):
         server, service, started, release = slow_served

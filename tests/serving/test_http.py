@@ -1,9 +1,14 @@
-"""The asyncio HTTP front end: routes, auth, errors, keep-alive, streaming."""
+"""The asyncio HTTP front end: routes, auth, errors, keep-alive, streaming,
+request framing, and the telemetry routes (``/metrics``, ``/traces``)."""
 
 from __future__ import annotations
 
 import http.client
 import json
+import logging
+import socket
+import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -18,12 +23,14 @@ from repro import (
     ServiceConfig,
 )
 from repro.obs.metrics import validate_prometheus_text
+from repro.obs.trace import begin_request, end_request, tracing
 from repro.serving import (
     ExplanationServer,
     TokenAuthenticator,
     dump_json,
     report_document,
 )
+from repro.serving.http import MAX_TRACE_LIMIT, PROMETHEUS_CONTENT_TYPE
 
 QUERY = "SELECT * FROM spotify WHERE popularity > 65"
 
@@ -75,6 +82,31 @@ def _stream(server, body, token="tok-alice"):
         connection.close()
 
 
+def _finish_trace(names=("explain", "phase3.contribution")):
+    """Finish one owned trace; it fans out to every registered consumer."""
+    with tracing(True):
+        tracer, token = begin_request()
+        with tracer.span(names[0]):
+            for name in names[1:]:
+                with tracer.span(name):
+                    pass
+        return end_request(tracer, token)
+
+
+def _exchange(port, payload, shutdown_write=False, timeout=5.0):
+    """Send raw bytes and read until the server closes the connection."""
+    with socket.create_connection(("127.0.0.1", port), timeout=timeout) as sock:
+        sock.sendall(payload)
+        if shutdown_write:
+            sock.shutdown(socket.SHUT_WR)
+        received = []
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                return b"".join(received)
+            received.append(chunk)
+
+
 class TestOpsRoutes:
     def test_healthz(self, served):
         server, _ = served
@@ -101,6 +133,192 @@ class TestOpsRoutes:
         assert status == 404
         status, _, _ = _request(server, "/explain", token=None)  # GET
         assert status == 405
+
+
+class TestTelemetryRoutes:
+    def test_metrics_prometheus_text(self, served):
+        server, _ = served
+        status, headers, body = _request(server, "/metrics", token=None)
+        assert status == 200
+        assert headers["Content-Type"] == PROMETHEUS_CONTENT_TYPE
+        families = validate_prometheus_text(body.decode("utf-8"))
+        assert families["repro_service_requests_total"] == "counter"
+        assert families["repro_service_request_seconds"] == "histogram"
+
+    def test_traces_most_recent_first_with_critical_path(self, served):
+        server, _ = served
+        _finish_trace(("first",))
+        _finish_trace(("second", "child"))
+        status, _, body = _request(server, "/traces", token=None)
+        assert status == 200
+        payload = json.loads(body)
+        assert payload["count"] == 2
+        assert [t["root"] for t in payload["traces"]] == ["second", "first"]
+        steps = [step["name"] for step in payload["traces"][0]["critical_path"]]
+        assert steps == ["second", "child"]
+        assert payload["traces"][0]["span_count"] == 2
+        assert "spans" not in payload["traces"][0]
+
+    def test_traces_limit_and_spans_params(self, served):
+        server, _ = served
+        for _ in range(3):
+            _finish_trace()
+        _, _, body = _request(server, "/traces?limit=1&spans=1", token=None)
+        payload = json.loads(body)
+        assert payload["count"] == 1
+        (document,) = payload["traces"]
+        assert document["span_count"] == len(document["spans"]) == 2
+
+    def test_traces_limit_clamps_negative_to_zero(self, served):
+        server, _ = served
+        for _ in range(8):
+            _finish_trace()
+        _, _, body = _request(server, "/traces?limit=-5", token=None)
+        # A negative limit means "nothing", never Python's "drop the last
+        # five" slice semantics.
+        assert json.loads(body) == {"count": 0, "traces": []}
+
+    def test_traces_limit_clamped_to_cap(self, served):
+        server, _ = served
+        _finish_trace()
+        status, _, body = _request(
+            server, f"/traces?limit={MAX_TRACE_LIMIT * 1000}", token=None)
+        assert status == 200
+        assert json.loads(body)["count"] == 1  # clamped, served, no error
+
+    @pytest.mark.parametrize("query", ["limit=abc", "spans=xyz", "limit=1.5"])
+    def test_non_numeric_params_are_400(self, served, query):
+        server, _ = served
+        _finish_trace()
+        status, _, body = _request(server, "/traces?" + query, token=None)
+        assert status == 400
+        assert "must be an integer" in json.loads(body)["error"]
+        # The server keeps serving after the rejected request.
+        _, _, body = _request(server, "/traces", token=None)
+        assert json.loads(body)["count"] == 1
+
+    def test_broken_metrics_callback_is_a_500_not_a_crash(self, served,
+                                                         monkeypatch):
+        server, service = served
+
+        def boom():
+            raise RuntimeError("registry on fire")
+
+        monkeypatch.setattr(service, "render_metrics", boom)
+        status, _, body = _request(server, "/metrics", token=None)
+        assert status == 500
+        assert json.loads(body)["type"] == "RuntimeError"
+        # The process keeps serving after a failed scrape.
+        status, _, _ = _request(server, "/healthz", token=None)
+        assert status == 200
+
+    def test_traces_wrong_method_is_405(self, served):
+        server, _ = served
+        status, _, _ = _request(server, "/traces", body=b"{}", token=None)
+        assert status == 405
+
+
+class TestLifecycle:
+    def test_ephemeral_port_and_url(self, served):
+        server, _ = served
+        assert server.port > 0
+        assert server.url == f"http://127.0.0.1:{server.port}"
+
+    def test_start_is_idempotent(self, served):
+        server, _ = served
+        assert server.start() is server
+        _finish_trace()
+        _, _, body = _request(server, "/traces", token=None)
+        assert json.loads(body)["count"] == 1
+
+    def test_close_is_idempotent_and_releases_the_socket(self):
+        service = ExplanationService()
+        server = ExplanationServer(service).start()
+        port = server.port
+        server.close()
+        server.close()
+        service.close()
+        with pytest.raises(OSError):
+            urllib.request.urlopen(f"http://127.0.0.1:{port}/healthz",
+                                   timeout=0.5)
+        # The closed server's ring no longer receives traces.
+        _finish_trace()
+        assert len(server._ring) == 0
+
+    def test_concurrent_scrapes(self, served):
+        server, _ = served
+        errors = []
+
+        def scrape():
+            try:
+                status, _, body = _request(server, "/metrics", token=None)
+                assert status == 200 and b"repro_service_inflight" in body
+            except Exception as error:  # noqa: BLE001 - collected for assert
+                errors.append(error)
+
+        threads = [threading.Thread(target=scrape) for _ in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(10)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+
+
+class TestFraming:
+    """Requests whose body the server cannot frame are refused cleanly."""
+
+    HEAD = ("POST /explain HTTP/1.1\r\nHost: test\r\n"
+            "Authorization: Bearer tok-alice\r\n")
+
+    def test_negative_content_length_is_400(self, served):
+        server, _ = served
+        response = _exchange(
+            server.port, (self.HEAD + "Content-Length: -5\r\n\r\n").encode())
+        assert response.startswith(b"HTTP/1.1 400 ")
+        assert response.count(b"HTTP/1.1 ") == 1
+        assert b"invalid Content-Length" in response
+
+    def test_short_body_closes_quietly(self, served, caplog):
+        server, _ = served
+        caplog.set_level(logging.ERROR, logger="asyncio")
+        response = _exchange(
+            server.port,
+            (self.HEAD + "Content-Length: 50\r\n\r\n").encode() + b"{}",
+            shutdown_write=True)
+        assert response == b""
+        # A later request round-trips through the loop after the short
+        # read's handler has finished, so any error it logged is in.
+        status, _, _ = _request(server, "/healthz", token=None)
+        assert status == 200
+        assert [record.getMessage() for record in caplog.records
+                if record.name == "asyncio"] == []
+
+    def test_stalled_body_is_dropped_after_keep_alive(self, spotify_small):
+        service = ExplanationService()
+        server = ExplanationServer(service, keep_alive_s=0.3).start()
+        try:
+            started = time.monotonic()
+            response = _exchange(
+                server.port,
+                b"POST /explain HTTP/1.1\r\nContent-Length: 50\r\n\r\n{}",
+                timeout=5.0)
+            assert response == b""
+            assert time.monotonic() - started < 5.0
+        finally:
+            server.close()
+            service.close()
+
+    def test_chunked_request_is_501_and_closes(self, served):
+        server, _ = served
+        # The chunk's data is itself a complete request: it must never run.
+        inner = b"GET /healthz HTTP/1.1\r\nHost: test\r\n\r\n"
+        payload = ((self.HEAD + "Transfer-Encoding: chunked\r\n\r\n").encode()
+                   + f"{len(inner):x}\r\n".encode() + inner + b"\r\n0\r\n\r\n")
+        response = _exchange(server.port, payload)
+        assert response.startswith(b"HTTP/1.1 501 Not Implemented\r\n")
+        assert response.count(b"HTTP/1.1 ") == 1
+        assert b"Connection: close" in response
 
 
 class TestExplain:

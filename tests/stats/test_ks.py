@@ -234,11 +234,12 @@ class TestChunkedBatchedKs:
         )
         assert np.array_equal(chunked, unchunked)
 
-    def test_engine_results_identical_under_tiny_ks_budget(self):
+    def test_engine_results_identical_under_tiny_ks_budget(self, monkeypatch):
         """End-to-end: a 1-byte KS budget must not change any explanation."""
         from repro.core import FedexConfig, FedexExplainer
         from repro.dataframe import Comparison, DataFrame
         from repro.operators import ExploratoryStep, Filter
+        from repro.stats import ks
 
         rng = np.random.default_rng(14)
         frame = DataFrame({
@@ -247,7 +248,8 @@ class TestChunkedBatchedKs:
         })
         step = ExploratoryStep([frame], Filter(Comparison("value", ">", 55)))
         default = FedexExplainer(FedexConfig()).explain(step)
-        budgeted = FedexExplainer(FedexConfig(ks_budget_bytes=1)).explain(step)
+        monkeypatch.setattr(ks, "DEFAULT_KS_BUDGET_BYTES", 1)
+        budgeted = FedexExplainer(FedexConfig()).explain(step)
         assert default.skyline_keys() == budgeted.skyline_keys()
         for mine, theirs in zip(default.all_candidates, budgeted.all_candidates):
             assert mine.contribution == theirs.contribution
