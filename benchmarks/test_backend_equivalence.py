@@ -9,7 +9,7 @@ and the speedup.
 
 The storage layer's acceptance bar rides in the same harness: every query
 re-run against tables opened from a :class:`~repro.storage.DatasetStore`
-(mmap-backed frames, scan pushdown active) must produce **bit-identical**
+(mmap-backed frames with persisted fingerprints) must produce **bit-identical**
 reports — identical skylines, score deltas of exactly zero — versus the
 in-memory frames.
 

@@ -13,16 +13,21 @@ the traced requests with their critical paths.
 from __future__ import annotations
 
 import json
+import sys
 import threading
 import urllib.request
+from pathlib import Path
 
 from conftest import run_once
 
 from repro.core import FedexConfig
-from repro.obs.metrics import validate_prometheus_text
 from repro.service import ExplanationService, ServiceConfig
 from repro.serving import ExplanationServer
 from repro.workloads import WORKLOAD
+
+# The strict Prometheus parser is a test helper living in tests/.
+sys.path.append(str(Path(__file__).resolve().parents[1] / "tests"))
+from prometheus_text import validate_prometheus_text  # noqa: E402
 
 WORKERS = 4
 

@@ -26,7 +26,7 @@ Subpackages
 ``repro.session``     session layer: shared cache store + per-tenant views
 ``repro.service``     multi-tenant serving front end (workers, admission)
 ``repro.serving``     asyncio HTTP front end, replica fleet, shared cache tier
-``repro.storage``     chunked columnar dataset store (mmap frames, pushdown)
+``repro.storage``     columnar dataset store (mmap frames, descriptors)
 ``repro.baselines``   SeeDB, RATH-style, Interestingness-Only baselines
 ``repro.datasets``    synthetic Spotify / Bank / Products+Sales generators
 ``repro.workloads``   the paper's 30 evaluation queries

@@ -256,7 +256,7 @@ class _GroupByStructure:
         if any(key not in frame for key in operation.keys):
             return None
         if operation.pre_filter is not None:
-            # predicate_mask so stored (mmap) inputs get chunk pruning here too.
+            # The same mask GroupBy.apply's pre-filter computes.
             active = frame.predicate_mask(operation.pre_filter)
         else:
             active = np.ones(n_rows, dtype=bool)

@@ -39,16 +39,15 @@ class DataFrame:
         iterable of :class:`Column` objects.  Column order is preserved.
     """
 
-    __slots__ = ("_columns", "_order", "_scan")
+    __slots__ = ("_columns", "_order", "_dataset")
 
     def __init__(self, columns: Mapping[str, Any] | Iterable[Column] | None = None) -> None:
         self._columns: Dict[str, Column] = {}
         self._order: List[str] = []
-        # Optional chunk-statistics scan attached by repro.storage when the
-        # frame is opened from an on-disk dataset; every derived frame is a
-        # plain in-memory frame again (row positions change), so the scan is
-        # never inherited.
-        self._scan = None
+        # The repro.storage Dataset this frame was opened from, if any;
+        # every derived frame is a plain in-memory frame again (its rows no
+        # longer match the dataset), so the reference is never inherited.
+        self._dataset = None
         if columns is None:
             return
         if isinstance(columns, Mapping):
@@ -194,16 +193,6 @@ class DataFrame:
         return DataFrame([self._columns[name] for name in self._order if name not in to_drop])
 
     # ------------------------------------------------------------ row selection
-    def attach_scan(self, scan) -> "DataFrame":
-        """Attach a dataset scan (chunk-statistics pushdown) to this frame.
-
-        Called by :mod:`repro.storage` when the frame is opened from an
-        on-disk dataset; :meth:`predicate_mask` then prunes whole chunks via
-        the persisted footer statistics before evaluating a predicate.
-        """
-        self._scan = scan
-        return self
-
     def descriptor(self):
         """Picklable handle of a storage-backed frame, or ``None``.
 
@@ -215,11 +204,11 @@ class DataFrame:
         in-memory frames, and frames derived from a stored one (whose rows
         no longer match the dataset), return ``None``.
         """
-        if self._scan is None:
+        if self._dataset is None:
             return None
         from ..storage.reader import frame_descriptor
 
-        return frame_descriptor(self, self._scan)
+        return frame_descriptor(self, self._dataset)
 
     @classmethod
     def from_descriptor(cls, descriptor) -> "DataFrame":
@@ -233,16 +222,7 @@ class DataFrame:
         return frame_from_descriptor(descriptor)
 
     def predicate_mask(self, predicate: Predicate) -> np.ndarray:
-        """Boolean row mask of ``predicate``, with chunk pruning when possible.
-
-        Identical to ``predicate.mask(self)`` bit for bit; when the frame is
-        backed by an on-disk dataset (:mod:`repro.storage`), chunks whose
-        footer statistics prove no row can match are skipped without being
-        materialised or evaluated.
-        """
-        scan = self._scan
-        if scan is not None:
-            return scan.mask(self, predicate)
+        """Boolean row mask of ``predicate``."""
         return np.asarray(predicate.mask(self), dtype=bool)
 
     def filter(self, predicate: Predicate) -> "DataFrame":

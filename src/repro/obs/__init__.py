@@ -8,9 +8,8 @@ Four dependency-free modules (see their docstrings for the full story):
   request end.
 * :mod:`repro.obs.metrics` — thread-safe :class:`MetricsRegistry` of
   labeled counters/gauges/histograms (log-bucket p50/p95/p99), scrape-time
-  collectors for hot module counters, Prometheus text exposition, the
-  cross-process ``dump``/``registry_delta``/``merge`` tier, and the strict
-  :func:`validate_prometheus_text` parser.
+  collectors for hot module counters, Prometheus text exposition, and the
+  cross-process ``dump``/``registry_delta``/``merge`` tier.
 * :mod:`repro.obs.export` — the OTLP-shaped span exporter over a bounded
   non-blocking queue with batch flush and retry/backoff, pluggable
   file/HTTP/callable sinks (``REPRO_OTLP_SINK``), and the
@@ -49,7 +48,6 @@ from .metrics import (
     namespace_metric,
     registry_delta,
     render_registries,
-    validate_prometheus_text,
 )
 from .trace import (
     NOOP_TRACER,
@@ -79,7 +77,6 @@ __all__ = [
     "namespace_metric",
     "registry_delta",
     "render_registries",
-    "validate_prometheus_text",
     "NOOP_TRACER",
     "Span",
     "Trace",

@@ -26,7 +26,7 @@ Enabling traces:
 * programmatically, ``with tracing(): ...`` — forces tracing on (or off,
   ``tracing(False)``) regardless of the environment.
 
-High-frequency signals (cache lookups, chunk pruning, lock waits) are
+High-frequency signals (cache lookups, contended lock waits) are
 recorded as aggregated *events* — one span per (parent, name, labels)
 combination with a ``count`` attribute and summed numeric fields — so a
 workload with thousands of cache hits produces a bounded trace.

@@ -123,9 +123,9 @@ class Filter(Operation):
     """Row-selection operation: keep rows satisfying a predicate.
 
     Both application and row-level provenance evaluate the predicate via
-    :meth:`DataFrame.predicate_mask`, so explaining a filter over a stored
-    dataset (:mod:`repro.storage`) prunes whole chunks through the
-    persisted footer statistics instead of touching every row.
+    :meth:`DataFrame.predicate_mask`, so the kept rows and their provenance
+    come from one mask, on in-memory and stored (:mod:`repro.storage`)
+    frames alike.
     """
 
     kind = "filter"

@@ -1,10 +1,10 @@
-"""Chunked columnar dataset storage with mmap-backed frames.
+"""Columnar dataset storage with mmap-backed frames.
 
 The subsystem between raw files and the serving layer::
 
     from repro.storage import write_dataset, read_dataset, DatasetStore
 
-    write_dataset(frame, "data/spotify")          # chunked columnar layout
+    write_dataset(frame, "data/spotify")          # one file per column
     frame = read_dataset("data/spotify")          # mmap-backed, lazy, read-only
 
     store = DatasetStore("data")                  # named datasets
@@ -13,16 +13,15 @@ The subsystem between raw files and the serving layer::
 
 Highlights:
 
-* **Format** (:mod:`~repro.storage.format`) — fixed-size row chunks, raw
-  little-endian numeric buffers, dictionary-encoded categoricals, per-chunk
-  footer statistics (min/max/nulls/distinct) and blake2b fingerprints, a
-  versioned JSON manifest.
+* **Format** (:mod:`~repro.storage.format`) — raw little-endian numeric
+  buffers, dictionary-encoded categoricals, a versioned JSON manifest with
+  persisted fingerprints and one blake2b digest per column file (checked by
+  ``Dataset.verify()``).
 * **Mmap frames** (:mod:`~repro.storage.mmap`) — numeric buffers map
   read-only and categoricals materialise lazily; read-only buffers make the
   persisted per-column fingerprints trustworthy, so
   ``Column.fingerprint()`` on a stored column never re-hashes the values.
-* **Scan pushdown** (:mod:`~repro.storage.scan`) — filters prune whole
-  chunks via the footer statistics before touching data, bit-identically.
+  Filters on a stored frame evaluate like on any other frame.
 * **Store** (:mod:`~repro.storage.store`) — named datasets served as
   shared mmap frames; the registry and the explanation service build on it.
   ``put`` is safe under concurrent writers: a ``.lock`` file taken with
@@ -33,7 +32,7 @@ Highlights:
   process-pool contribution backend ships these instead of data.
 """
 
-from .format import DEFAULT_CHUNK_ROWS, FORMAT_VERSION, DatasetManifest
+from .format import FORMAT_VERSION, DatasetManifest
 from .mmap import map_buffer
 from .reader import (
     Dataset,
@@ -43,19 +42,15 @@ from .reader import (
     read_dataset,
     shared_dataset,
 )
-from .scan import DatasetScan, ScanStats
 from .store import DatasetStore
 from .writer import csv_to_dataset, write_dataset
 
 __all__ = [
-    "DEFAULT_CHUNK_ROWS",
     "FORMAT_VERSION",
     "Dataset",
     "DatasetManifest",
-    "DatasetScan",
     "DatasetStore",
     "FrameDescriptor",
-    "ScanStats",
     "csv_to_dataset",
     "frame_from_descriptor",
     "map_buffer",

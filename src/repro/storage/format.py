@@ -3,8 +3,8 @@
 A *dataset* is a directory::
 
     <name>/
-        manifest.json      schema + chunk geometry + footer statistics +
-                           persisted fingerprints (versioned, magic-tagged)
+        manifest.json      schema + persisted fingerprints and digests
+                           (versioned, magic-tagged)
         c0.bin, c1.bin …   one binary buffer per column: a 16-byte header
                            (8-byte magic + little-endian uint32 version +
                            4 reserved bytes) followed by the raw values
@@ -24,36 +24,35 @@ Columns are stored in one of two encodings:
   factorization (every value a string — the common case), the reader seeds
   :meth:`Column.factorize` straight from the persisted codes.
 
-Rows are split into fixed-size *chunks* (:data:`DEFAULT_CHUNK_ROWS`); the
-manifest carries per-chunk footer statistics — row/null counts, a distinct
-estimate, min/max (values for ``raw`` columns, dictionary codes for
-``dict`` columns) and a blake2b fingerprint of the chunk's bytes — which
-:mod:`repro.storage.scan` uses to prune whole chunks from filter
-evaluation.  Each column additionally records the full
+Each column records two hashes.  ``fingerprint`` is the full
 :meth:`Column.fingerprint` computed at write time; because the mapped
-buffers are read-only, the reader hands that persisted fingerprint back
-without ever re-hashing the values.
+buffers are read-only, the reader hands it back without ever re-hashing
+the values.  ``digest`` is the blake2b-128 digest of the column file's
+value bytes (everything after the header), which
+:meth:`~repro.storage.reader.Dataset.verify` re-hashes to detect on-disk
+corruption.
+
+Version 1 manifests also carried a row-chunk geometry and per-chunk
+statistics, and no ``digest``.  The reader still opens them and ignores
+both keys; only ``verify()`` refuses them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, List, Optional
 
 from ..errors import StorageError
 
 #: Magic tag of every binary column file (8 bytes).
 MAGIC = b"RPRDSET1"
 
-#: Version of the format written by this code.
-FORMAT_VERSION = 1
+#: Version of the format written by this code (the reader also opens 1).
+FORMAT_VERSION = 2
 
 #: Size of the binary file header: magic (8) + version (4, LE) + reserved (4).
 HEADER_SIZE = 16
-
-#: Default number of rows per chunk.
-DEFAULT_CHUNK_ROWS = 65_536
 
 #: Column encodings.
 ENCODING_RAW = "raw"
@@ -83,19 +82,9 @@ def check_binary_header(header: bytes, path) -> int:
     return version
 
 
-def chunk_ranges(num_rows: int, chunk_rows: int) -> List[Tuple[int, int]]:
-    """The ``[start, stop)`` row ranges of every chunk."""
-    if chunk_rows < 1:
-        raise StorageError(f"chunk_rows must be positive, got {chunk_rows}")
-    return [
-        (start, min(start + chunk_rows, num_rows))
-        for start in range(0, num_rows, chunk_rows)
-    ]
-
-
 # ------------------------------------------------------------- scalar coding
 def encode_scalar(value: Any) -> Optional[list]:
-    """Encode one dictionary/stat value as a JSON-safe typed pair."""
+    """Encode one dictionary value as a JSON-safe typed pair."""
     if value is None:
         return None
     if isinstance(value, bool):
@@ -131,38 +120,6 @@ def decode_scalar(encoded: Optional[list]) -> Any:
 
 # ----------------------------------------------------------------- manifest
 @dataclass
-class ChunkStats:
-    """Footer statistics of one chunk of one column."""
-
-    rows: int
-    nulls: int
-    distinct: int
-    #: Min/max of the present values (raw) or of the dictionary codes (dict);
-    #: ``None`` when the chunk holds no present value.
-    min: Any = None
-    max: Any = None
-    #: blake2b hex digest of the chunk's bytes in the binary file.
-    fingerprint: str = ""
-
-    def to_json(self) -> dict:
-        return {
-            "rows": self.rows, "nulls": self.nulls, "distinct": self.distinct,
-            "min": encode_scalar(self.min), "max": encode_scalar(self.max),
-            "fingerprint": self.fingerprint,
-        }
-
-    @classmethod
-    def from_json(cls, payload: dict) -> "ChunkStats":
-        return cls(
-            rows=int(payload["rows"]), nulls=int(payload["nulls"]),
-            distinct=int(payload["distinct"]),
-            min=decode_scalar(payload.get("min")),
-            max=decode_scalar(payload.get("max")),
-            fingerprint=str(payload.get("fingerprint", "")),
-        )
-
-
-@dataclass
 class ColumnMeta:
     """Manifest entry describing one stored column."""
 
@@ -180,13 +137,15 @@ class ColumnMeta:
     #: True when the dictionary equals ``Column.factorize()``'s uniques
     #: (all strings, sorted) so the reader can seed the factorization cache.
     dictionary_is_factorization: bool = False
-    chunks: List[ChunkStats] = field(default_factory=list)
+    #: blake2b-128 hex digest of the column file's value bytes; empty for
+    #: columns written as format version 1, which recorded none.
+    digest: str = ""
 
     def to_json(self) -> dict:
         payload = {
             "name": self.name, "kind": self.kind, "encoding": self.encoding,
             "dtype": self.dtype, "file": self.file, "fingerprint": self.fingerprint,
-            "chunks": [chunk.to_json() for chunk in self.chunks],
+            "digest": self.digest,
         }
         if self.encoding == ENCODING_DICT:
             payload["dictionary"] = [encode_scalar(v) for v in self.dictionary or []]
@@ -204,7 +163,7 @@ class ColumnMeta:
             file=str(payload["file"]), fingerprint=str(payload["fingerprint"]),
             dictionary=dictionary,
             dictionary_is_factorization=bool(payload.get("dictionary_is_factorization", False)),
-            chunks=[ChunkStats.from_json(chunk) for chunk in payload.get("chunks", [])],
+            digest=str(payload.get("digest", "")),
         )
 
 
@@ -213,7 +172,6 @@ class DatasetManifest:
     """The JSON manifest of one dataset directory."""
 
     num_rows: int
-    chunk_rows: int
     #: Persisted :meth:`DataFrame.fingerprint` of the whole frame.
     fingerprint: str
     columns: List[ColumnMeta] = field(default_factory=list)
@@ -224,7 +182,6 @@ class DatasetManifest:
             "magic": MAGIC.decode("ascii"),
             "version": self.version,
             "num_rows": self.num_rows,
-            "chunk_rows": self.chunk_rows,
             "fingerprint": self.fingerprint,
             "columns": [column.to_json() for column in self.columns],
         }
@@ -240,7 +197,6 @@ class DatasetManifest:
             )
         return cls(
             num_rows=int(payload["num_rows"]),
-            chunk_rows=int(payload["chunk_rows"]),
             fingerprint=str(payload["fingerprint"]),
             columns=[ColumnMeta.from_json(column) for column in payload.get("columns", [])],
             version=version,
@@ -251,14 +207,3 @@ class DatasetManifest:
             if meta.name == name:
                 return meta
         raise StorageError(f"dataset has no column {name!r}")
-
-    def chunk_ranges(self) -> List[Tuple[int, int]]:
-        return chunk_ranges(self.num_rows, self.chunk_rows)
-
-    @property
-    def num_chunks(self) -> int:
-        return len(self.chunk_ranges())
-
-
-#: Per-column metadata index type used by readers.
-ColumnIndex = Dict[str, ColumnMeta]

@@ -10,7 +10,9 @@ in the process), and :func:`storage_column` turns a mapped buffer into a
   faulted in until a computation touches it;
 * ``dict`` columns materialise lazily: the first ``.values`` access decodes
   the mapped codes through the dictionary into an object array which is
-  immediately frozen (``writeable = False``).
+  immediately frozen (``writeable = False``).  The codes are range-checked
+  once when the column is built, so a corrupt code raises
+  :class:`~repro.errors.StorageError` instead of decoding to a wrong value.
 
 Read-only buffers are the dirty-tracking story behind persisted
 fingerprints: an in-place write to a mapped or materialised buffer raises,
@@ -23,7 +25,7 @@ a single page.  Mutation-hungry callers get a writable copy via
 from __future__ import annotations
 
 from pathlib import Path
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
@@ -33,7 +35,6 @@ from .format import (
     ENCODING_DICT,
     ENCODING_RAW,
     HEADER_SIZE,
-    ChunkStats,
     ColumnMeta,
     check_binary_header,
 )
@@ -84,53 +85,38 @@ def decode_dictionary_values(codes: np.ndarray, dictionary: List) -> np.ndarray:
     return values
 
 
-def storage_column(meta: ColumnMeta, buffer: np.ndarray,
-                   start: int = 0, stop: Optional[int] = None,
-                   fingerprint: Optional[str] = None) -> Column:
-    """Build the column for ``meta`` over (a slice of) its mapped buffer.
+def storage_column(meta: ColumnMeta, buffer: np.ndarray) -> Column:
+    """Build the column for ``meta`` over its mapped buffer.
 
-    With the default full range the column carries ``meta.fingerprint`` as
-    its persisted fingerprint; sliced (chunk) columns carry none unless one
-    is passed explicitly — a slice is different content from the column
-    that was hashed at write time.
+    The column carries ``meta.fingerprint`` as its persisted fingerprint.
+    A ``dict`` column's codes must all lie in ``[-1, len(dictionary))``;
+    one min/max pass over the mapped codes checks that without decoding a
+    value, because both ``.values`` and the seeded factorization trust them.
     """
-    stop = len(buffer) if stop is None else stop
-    length = stop - start
-    full = start == 0 and stop == len(buffer)
-    if fingerprint is None and full:
-        fingerprint = meta.fingerprint
-
     if meta.encoding == ENCODING_RAW:
         return Column.from_storage(
-            meta.name, meta.kind, length,
-            values=buffer[start:stop], fingerprint=fingerprint,
+            meta.name, meta.kind, len(buffer),
+            values=buffer, fingerprint=meta.fingerprint,
         )
     if meta.encoding != ENCODING_DICT:
         raise StorageError(f"unknown column encoding {meta.encoding!r}")
 
-    codes = buffer[start:stop]
     dictionary = meta.dictionary or []
+    if len(buffer) and (buffer.min() < -1 or buffer.max() >= len(dictionary)):
+        raise StorageError(
+            f"column {meta.name!r} ({getattr(buffer, 'filename', meta.file)}) holds "
+            f"dictionary codes outside [-1, {len(dictionary)}); the file is corrupt"
+        )
     factorized = None
-    if full and meta.dictionary_is_factorization:
+    if meta.dictionary_is_factorization:
         # The persisted codes ARE Column.factorize()'s codes: seed the cache
         # so warm group-bys/value-counts skip the O(n log n) recomputation.
-        factorized = (np.asarray(codes), list(dictionary))
+        factorized = (np.asarray(buffer), list(dictionary))
 
     def load() -> np.ndarray:
-        return decode_dictionary_values(np.asarray(codes), dictionary)
+        return decode_dictionary_values(np.asarray(buffer), dictionary)
 
     return Column.from_storage(
-        meta.name, meta.kind, length,
-        loader=load, fingerprint=fingerprint, factorized=factorized,
+        meta.name, meta.kind, len(buffer),
+        loader=load, fingerprint=meta.fingerprint, factorized=factorized,
     )
-
-
-def chunk_stats_of(meta: ColumnMeta, chunk_index: int) -> ChunkStats:
-    """The footer statistics of one chunk of one column."""
-    try:
-        return meta.chunks[chunk_index]
-    except IndexError:
-        raise StorageError(
-            f"column {meta.name!r} has no chunk {chunk_index} "
-            f"({len(meta.chunks)} chunks recorded)"
-        ) from None

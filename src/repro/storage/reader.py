@@ -2,11 +2,11 @@
 
 :class:`Dataset` is one opened dataset directory: the parsed manifest, one
 read-only memory-mapped buffer per column (mapped lazily, shared by every
-frame served), the shared :class:`~repro.dataframe.column.Column` objects,
-and the chunk-statistics scan.  :meth:`Dataset.frame` hands out dataframes
-that all view the same physical buffers — opening a dataset twice, or
-serving it to forty tenants, costs one copy of the data per process (and,
-thanks to the page cache, one per machine).
+frame served) and the shared :class:`~repro.dataframe.column.Column`
+objects.  :meth:`Dataset.frame` hands out dataframes that all view the
+same physical buffers — opening a dataset twice, or serving it to forty
+tenants, costs one copy of the data per process (and, thanks to the page
+cache, one per machine).
 
 Columns carry their persisted fingerprints (see
 :meth:`~repro.dataframe.column.Column.fingerprint`), so warm explains over
@@ -42,7 +42,6 @@ from ..dataframe.frame import DataFrame
 from ..errors import StorageError
 from .format import MANIFEST_NAME, ColumnMeta, DatasetManifest
 from .mmap import map_buffer, storage_column
-from .scan import DatasetScan
 
 
 @dataclass(frozen=True)
@@ -80,7 +79,6 @@ class Dataset:
         self._columns: Dict[str, Column] = {}
         # Re-entrant: column() maps its buffer while holding the lock.
         self._lock = threading.RLock()
-        self.scan = DatasetScan(self)
 
     # ------------------------------------------------------------------ public
     @property
@@ -97,15 +95,17 @@ class Dataset:
         return self.manifest.fingerprint
 
     def frame(self) -> DataFrame:
-        """A dataframe over the shared mapped buffers, scan attached.
+        """A dataframe over the shared mapped buffers.
 
         Every call returns a fresh :class:`DataFrame` (frames are cheap
         shells) over the *same* column objects, so structure caches
         (argsorts, factorizations) accumulated by one consumer are shared
-        by all.
+        by all.  The frame keeps a back-reference to this dataset, which
+        :meth:`DataFrame.descriptor` reads.
         """
         frame = DataFrame([self.column(name) for name in self.column_names])
-        return frame.attach_scan(self.scan)
+        frame._dataset = self
+        return frame
 
     def descriptor(self, columns: Optional[Sequence[str]] = None) -> FrameDescriptor:
         """The picklable :class:`FrameDescriptor` of (a subset of) this dataset."""
@@ -129,53 +129,32 @@ class Dataset:
                     self._columns[name] = column
         return column
 
-    def chunk_column(self, name: str, chunk_index: int) -> Column:
-        """A column over one chunk's rows only (for pruned scans).
-
-        Chunk columns carry no persisted fingerprint: the manifest's
-        per-chunk digests hash raw buffer bytes — a different domain from
-        :meth:`Column.fingerprint`, which frames name/kind/dictionary — so
-        handing them out would alias content-different columns.
-        """
-        meta = self.manifest.column(name)
-        start, stop = self.manifest.chunk_ranges()[chunk_index]
-        return storage_column(meta, self._buffer(meta), start, stop)
-
-    def column_meta(self, name: str) -> Optional[ColumnMeta]:
-        """Manifest entry of ``name``, or ``None`` when absent."""
-        for meta in self.manifest.columns:
-            if meta.name == name:
-                return meta
-        return None
-
-    def chunk_ranges(self) -> List[Tuple[int, int]]:
-        return self.manifest.chunk_ranges()
-
     def verify(self) -> None:
-        """Re-hash every chunk against its persisted fingerprint.
+        """Re-hash every column file against its persisted digest.
 
         Raises :class:`StorageError` on the first mismatch — the integrity
-        check for operators who suspect on-disk corruption.  Reads every
-        byte; not part of any hot path.
+        check for operators who suspect on-disk corruption — and for a
+        column that records no digest (format version 1), which cannot be
+        checked until the dataset is rewritten.  Reads every byte; not part
+        of any hot path.
         """
-        ranges = self.chunk_ranges()
         for meta in self.manifest.columns:
-            buffer = self._buffer(meta)
-            for index, (start, stop) in enumerate(ranges):
-                recorded = meta.chunks[index].fingerprint
-                actual = hashlib.blake2b(
-                    np.ascontiguousarray(buffer[start:stop]).tobytes(), digest_size=16
-                ).hexdigest()
-                if recorded and recorded != actual:
-                    raise StorageError(
-                        f"chunk {index} of column {meta.name!r} does not match its "
-                        f"persisted fingerprint (dataset {self.path})"
-                    )
+            if not meta.digest:
+                raise StorageError(
+                    f"column {meta.name!r} of dataset {self.path} records no digest "
+                    f"(format version {self.manifest.version}); rewrite the dataset "
+                    "to make it verifiable"
+                )
+            actual = hashlib.blake2b(self._buffer(meta), digest_size=16).hexdigest()
+            if actual != meta.digest:
+                raise StorageError(
+                    f"column {meta.name!r} does not match its persisted digest "
+                    f"(dataset {self.path})"
+                )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"Dataset({str(self.path)!r}, rows={self.num_rows}, "
-                f"columns={len(self.manifest.columns)}, "
-                f"chunks={self.manifest.num_chunks})")
+                f"columns={len(self.manifest.columns)})")
 
     # ---------------------------------------------------------------- internals
     def _buffer(self, meta: ColumnMeta) -> np.ndarray:
@@ -246,19 +225,18 @@ def clear_shared_datasets() -> None:
         _SHARED_DATASETS.clear()
 
 
-def frame_descriptor(frame: DataFrame, scan) -> Optional[FrameDescriptor]:
-    """The descriptor of a frame served by a :class:`DatasetScan`, if sound.
+def frame_descriptor(frame: DataFrame, dataset: Dataset) -> Optional[FrameDescriptor]:
+    """The descriptor of a frame opened from ``dataset``, if sound.
 
-    ``None`` unless every column of the frame *is* (by identity) the scanned
-    dataset's shared column — a frame that merely carries a scan but swapped
-    or derived columns would otherwise describe content it does not hold.
+    ``None`` unless every column of the frame *is* (by identity) the
+    dataset's shared column — a frame that merely points at the dataset but
+    holds swapped or derived columns would otherwise describe content it
+    does not hold.
     """
-    dataset = getattr(scan, "_dataset", None)
-    if not isinstance(dataset, Dataset):
-        return None
     names = tuple(frame.column_names)
+    stored = set(dataset.column_names)
     for name in names:
-        if dataset.column_meta(name) is None or frame[name] is not dataset.column(name):
+        if name not in stored or frame[name] is not dataset.column(name):
             return None
     return dataset.descriptor(names)
 
@@ -279,8 +257,8 @@ def frame_from_descriptor(descriptor: FrameDescriptor) -> DataFrame:
     the directory re-opened once before the mismatch is declared real —
     otherwise one rewrite would poison every future descriptor of that
     path for the life of the process.  The returned frame carries the
-    persisted column fingerprints and the chunk-statistics scan — a worker
-    re-opening a stored frame re-hashes nothing.
+    persisted column fingerprints — a worker re-opening a stored frame
+    re-hashes nothing — and points back at the shared dataset.
     """
     dataset = shared_dataset(descriptor.path)
     if (dataset.manifest.version != descriptor.version
@@ -298,4 +276,5 @@ def frame_from_descriptor(descriptor: FrameDescriptor) -> DataFrame:
             "the dataset was rewritten since the descriptor was minted"
         )
     frame = DataFrame([dataset.column(name) for name in descriptor.columns])
-    return frame.attach_scan(dataset.scan)
+    frame._dataset = dataset
+    return frame

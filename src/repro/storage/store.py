@@ -35,7 +35,7 @@ from typing import Dict, List, Optional, Tuple
 from ..dataframe.frame import DataFrame
 from ..errors import StorageError
 from ..obs.trace import current_tracer
-from .format import DEFAULT_CHUNK_ROWS, MANIFEST_NAME
+from .format import MANIFEST_NAME
 from .reader import Dataset
 from .writer import write_dataset
 
@@ -253,10 +253,9 @@ def _pid_alive(pid: int) -> bool:
 class DatasetStore:
     """Named datasets under one root directory (thread-safe)."""
 
-    def __init__(self, root: str | Path, chunk_rows: int = DEFAULT_CHUNK_ROWS) -> None:
+    def __init__(self, root: str | Path) -> None:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
-        self.chunk_rows = chunk_rows
         self._datasets: Dict[str, Dataset] = {}
         self._lock = threading.Lock()
 
@@ -272,7 +271,7 @@ class DatasetStore:
         """
         path = self._path(name)
         with _DirectoryLock(self.root / f".{name}.lock", timeout=lock_timeout):
-            write_dataset(frame, path, chunk_rows=self.chunk_rows, overwrite=overwrite)
+            write_dataset(frame, path, overwrite=overwrite)
             # Open AND publish while still holding the lock: a competing
             # writer's overwrite must race neither our read of the manifest
             # we just wrote nor the cache update — a preempted loser could

@@ -4,9 +4,9 @@
 out as a dataset directory (see :mod:`repro.storage.format`): numeric and
 boolean columns as raw little-endian buffers, categorical columns as
 ``int64`` dictionary codes plus a typed UTF-8 dictionary in the manifest,
-per-chunk footer statistics, and the content fingerprints — per chunk, per
-column, and for the whole frame — that make warm re-opens and warm
-re-fingerprints free.
+the content fingerprints — per column and for the whole frame — that make
+warm re-opens and warm re-fingerprints free, and one digest per column
+file for :meth:`~repro.storage.reader.Dataset.verify`.
 
 :func:`csv_to_dataset` is the one-shot CSV → dataset converter.
 """
@@ -20,7 +20,7 @@ import shutil
 import time
 import uuid
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -30,21 +30,16 @@ from ..dataframe.io import read_csv
 from ..errors import StorageError
 from .format import (
     CODES_DTYPE,
-    DEFAULT_CHUNK_ROWS,
     ENCODING_DICT,
     ENCODING_RAW,
     MANIFEST_NAME,
-    ChunkStats,
     ColumnMeta,
     DatasetManifest,
     binary_header,
-    chunk_ranges,
 )
 
 
-def write_dataset(frame: DataFrame, path: str | Path,
-                  chunk_rows: int = DEFAULT_CHUNK_ROWS,
-                  overwrite: bool = False) -> Path:
+def write_dataset(frame: DataFrame, path: str | Path, overwrite: bool = False) -> Path:
     """Write ``frame`` as a dataset directory at ``path`` and return it.
 
     The write is atomic at the directory level: everything is staged into a
@@ -58,7 +53,6 @@ def write_dataset(frame: DataFrame, path: str | Path,
     if path.exists():
         if not overwrite:
             raise StorageError(f"dataset directory already exists: {path}")
-    ranges = chunk_ranges(frame.num_rows, chunk_rows)
 
     _sweep_stale_staging(path)
     staging = path.parent / f".{path.name}.staging-{os.getpid()}-{uuid.uuid4().hex[:8]}"
@@ -67,12 +61,11 @@ def write_dataset(frame: DataFrame, path: str | Path,
         columns: List[ColumnMeta] = []
         for index, column in enumerate(frame.columns()):
             file_name = f"c{index}.bin"
-            meta, buffer = _encode_column(column, file_name, ranges)
-            _write_buffer(staging / file_name, buffer)
+            meta, buffer = _encode_column(column, file_name)
+            meta.digest = _write_buffer(staging / file_name, buffer)
             columns.append(meta)
         manifest = DatasetManifest(
-            num_rows=frame.num_rows, chunk_rows=chunk_rows,
-            fingerprint=frame.fingerprint(), columns=columns,
+            num_rows=frame.num_rows, fingerprint=frame.fingerprint(), columns=columns,
         )
         with (staging / MANIFEST_NAME).open("w", encoding="utf-8") as handle:
             json.dump(manifest.to_json(), handle)
@@ -86,7 +79,6 @@ def write_dataset(frame: DataFrame, path: str | Path,
 
 
 def csv_to_dataset(csv_path: str | Path, dataset_path: str | Path,
-                   chunk_rows: int = DEFAULT_CHUNK_ROWS,
                    overwrite: bool = False, **read_csv_kwargs) -> Path:
     """One-shot CSV → columnar dataset conversion.
 
@@ -95,7 +87,7 @@ def csv_to_dataset(csv_path: str | Path, dataset_path: str | Path,
     pass straight through) and writes the result with :func:`write_dataset`.
     """
     frame = read_csv(csv_path, **read_csv_kwargs)
-    return write_dataset(frame, dataset_path, chunk_rows=chunk_rows, overwrite=overwrite)
+    return write_dataset(frame, dataset_path, overwrite=overwrite)
 
 
 #: A staging directory older than this is an orphan of a hard-crashed
@@ -122,72 +114,32 @@ def _sweep_stale_staging(path: Path) -> None:
 
 
 # ------------------------------------------------------------------ internals
-def _write_buffer(path: Path, array: np.ndarray) -> None:
+def _write_buffer(path: Path, array: np.ndarray) -> str:
+    """Write one column file; returns the blake2b digest of its value bytes."""
+    data = np.ascontiguousarray(array).tobytes()
     with path.open("wb") as handle:
         handle.write(binary_header())
-        handle.write(np.ascontiguousarray(array).tobytes())
+        handle.write(data)
+    return hashlib.blake2b(data, digest_size=16).hexdigest()
 
 
-def _encode_column(column: Column, file_name: str,
-                   ranges: Sequence[Tuple[int, int]]) -> Tuple[ColumnMeta, np.ndarray]:
-    values = column.values
-    if values.dtype.kind in "OUS":
-        return _encode_dict_column(column, file_name, ranges)
-    return _encode_raw_column(column, file_name, ranges)
-
-
-def _encode_raw_column(column: Column, file_name: str,
-                       ranges: Sequence[Tuple[int, int]]) -> Tuple[ColumnMeta, np.ndarray]:
+def _encode_column(column: Column, file_name: str) -> Tuple[ColumnMeta, np.ndarray]:
+    if column.values.dtype.kind in "OUS":
+        codes, dictionary, is_factorization = _dictionary_encode(column)
+        meta = ColumnMeta(
+            name=column.name, kind=column.kind, encoding=ENCODING_DICT,
+            dtype=CODES_DTYPE, file=file_name, fingerprint=column.fingerprint(),
+            dictionary=dictionary, dictionary_is_factorization=is_factorization,
+        )
+        return meta, codes
     array = np.ascontiguousarray(column.values)
     if array.dtype.byteorder == ">":
         array = array.astype(array.dtype.newbyteorder("<"))
-    is_float = array.dtype.kind == "f"
-    chunks = []
-    for start, stop in ranges:
-        piece = array[start:stop]
-        if is_float:
-            null_mask = np.isnan(piece)
-            present = piece[~null_mask]
-            nulls = int(null_mask.sum())
-        else:
-            present = piece
-            nulls = 0
-        chunks.append(ChunkStats(
-            rows=stop - start, nulls=nulls,
-            distinct=int(np.unique(present).size),
-            min=present.min().item() if present.size else None,
-            max=present.max().item() if present.size else None,
-            fingerprint=_chunk_digest(piece.tobytes()),
-        ))
     meta = ColumnMeta(
         name=column.name, kind=column.kind, encoding=ENCODING_RAW,
-        dtype=array.dtype.str, file=file_name,
-        fingerprint=column.fingerprint(), chunks=chunks,
+        dtype=array.dtype.str, file=file_name, fingerprint=column.fingerprint(),
     )
     return meta, array
-
-
-def _encode_dict_column(column: Column, file_name: str,
-                        ranges: Sequence[Tuple[int, int]]) -> Tuple[ColumnMeta, np.ndarray]:
-    codes, dictionary, is_factorization = _dictionary_encode(column)
-    chunks = []
-    for start, stop in ranges:
-        piece = codes[start:stop]
-        present = piece[piece >= 0]
-        chunks.append(ChunkStats(
-            rows=stop - start, nulls=int((piece < 0).sum()),
-            distinct=int(np.unique(present).size),
-            min=int(present.min()) if present.size else None,
-            max=int(present.max()) if present.size else None,
-            fingerprint=_chunk_digest(piece.tobytes()),
-        ))
-    meta = ColumnMeta(
-        name=column.name, kind=column.kind, encoding=ENCODING_DICT,
-        dtype=CODES_DTYPE, file=file_name, fingerprint=column.fingerprint(),
-        dictionary=dictionary, dictionary_is_factorization=is_factorization,
-        chunks=chunks,
-    )
-    return meta, codes
 
 
 def _dictionary_encode(column: Column) -> Tuple[np.ndarray, List, bool]:
@@ -230,7 +182,3 @@ def _dictionary_encode(column: Column) -> Tuple[np.ndarray, List, bool]:
             dictionary.append(value)
         codes[index] = code
     return codes, dictionary, False
-
-
-def _chunk_digest(data: bytes) -> str:
-    return hashlib.blake2b(data, digest_size=16).hexdigest()

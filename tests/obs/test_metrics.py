@@ -17,8 +17,8 @@ from repro.obs.metrics import (
     namespace_metric,
     registry_delta,
     render_registries,
-    validate_prometheus_text,
 )
+from prometheus_text import validate_prometheus_text
 
 
 @pytest.fixture

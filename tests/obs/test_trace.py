@@ -98,16 +98,16 @@ class TestTracer:
             for _ in range(5):
                 tracer.event("cache.lookup", labels={"outcome": "hit"})
             tracer.event("cache.lookup", labels={"outcome": "miss"}, n=2)
-            tracer.event("scan.mask", chunks_pruned=3)
-            tracer.event("scan.mask", chunks_pruned=4)
+            tracer.event("lock.wait", seconds=3)
+            tracer.event("lock.wait", seconds=4)
         trace = tracer.finish()
         lookups = {span.attrs["outcome"]: span.attrs["count"]
                    for span in trace.find("cache.lookup")}
         assert lookups == {"hit": 5, "miss": 2}
-        (mask,) = trace.find("scan.mask")
-        assert mask.attrs["count"] == 2
-        assert mask.attrs["chunks_pruned"] == 7
-        assert mask.is_event
+        (wait,) = trace.find("lock.wait")
+        assert wait.attrs["count"] == 2
+        assert wait.attrs["seconds"] == 7
+        assert wait.is_event
 
     def test_add_span_records_pre_measured_work(self):
         tracer = Tracer()

@@ -25,6 +25,7 @@ from repro import (
     GroupBy,
     ServiceConfig,
 )
+from prometheus_text import validate_prometheus_text
 from repro.core import FedexExplainer
 from repro.errors import ServiceError, ServiceOverloadError
 from repro.session import CacheStore
@@ -430,8 +431,6 @@ class TestMetrics:
 class TestObservability:
     def test_render_metrics_is_one_valid_prometheus_document(
             self, service, spotify_small):
-        from repro.obs.metrics import validate_prometheus_text
-
         service.explain("alice", _steps(spotify_small)[0])
         families = validate_prometheus_text(service.render_metrics())
         # Historical names survive the namespacing (they already conform),
@@ -442,7 +441,7 @@ class TestObservability:
 
     def test_duplicate_family_names_across_registries_dedupe(
             self, service, spotify_small):
-        from repro.obs.metrics import REGISTRY, validate_prometheus_text
+        from repro.obs.metrics import REGISTRY
 
         # Force the collision render_metrics has to survive: the same
         # family name registered in the service registry and the global

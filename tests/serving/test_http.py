@@ -14,6 +14,7 @@ import urllib.request
 
 import pytest
 
+from prometheus_text import validate_prometheus_text
 from repro import (
     Comparison,
     ExplanationService,
@@ -22,7 +23,6 @@ from repro import (
     Filter,
     ServiceConfig,
 )
-from repro.obs.metrics import validate_prometheus_text
 from repro.obs.trace import begin_request, end_request, tracing
 from repro.serving import (
     ExplanationServer,

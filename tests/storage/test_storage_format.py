@@ -12,13 +12,12 @@ from hypothesis import strategies as st
 from storage_testutil import assert_round_trip
 from repro.dataframe import DataFrame
 from repro.errors import StorageError
-from repro.storage import open_dataset, read_dataset, write_dataset
+from repro.storage import DatasetStore, open_dataset, read_dataset, write_dataset
 from repro.storage.format import (
     FORMAT_VERSION,
     HEADER_SIZE,
     MAGIC,
     MANIFEST_NAME,
-    chunk_ranges,
     decode_scalar,
     encode_scalar,
 )
@@ -37,13 +36,8 @@ def mixed_frame() -> DataFrame:
 
 class TestRoundTrip:
     def test_mixed_frame(self, mixed_frame, tmp_path):
-        write_dataset(mixed_frame, tmp_path / "ds", chunk_rows=4)
+        write_dataset(mixed_frame, tmp_path / "ds")
         assert_round_trip(mixed_frame, read_dataset(tmp_path / "ds"))
-
-    def test_single_chunk_and_many_chunks_agree(self, mixed_frame, tmp_path):
-        write_dataset(mixed_frame, tmp_path / "one", chunk_rows=1_000)
-        write_dataset(mixed_frame, tmp_path / "many", chunk_rows=2)
-        assert_round_trip(read_dataset(tmp_path / "one"), read_dataset(tmp_path / "many"))
 
     def test_empty_frame(self, tmp_path):
         empty = DataFrame({"x": np.asarray([], dtype=float),
@@ -58,7 +52,7 @@ class TestRoundTrip:
             "f": np.asarray([np.nan, np.nan, np.nan]),
             "c": np.asarray([None, None, None], dtype=object),
         })
-        write_dataset(frame, tmp_path / "ds", chunk_rows=2)
+        write_dataset(frame, tmp_path / "ds")
         assert_round_trip(frame, read_dataset(tmp_path / "ds"))
 
     def test_single_row(self, tmp_path):
@@ -73,18 +67,6 @@ class TestRoundTrip:
         loaded = read_dataset(tmp_path / "ds")
         assert loaded["c"].tolist() == frame["c"].tolist()
         assert loaded["c"].fingerprint() == frame["c"].fingerprint()
-
-    def test_chunk_columns_never_alias_fingerprints(self, tmp_path):
-        """Identical code buffers under different dictionaries must not collide."""
-        frame = DataFrame({
-            "city": np.asarray(["NY", "SF", "NY"], dtype=object),
-            "country": np.asarray(["US", "UK", "US"], dtype=object),
-        })
-        handle = open_dataset(write_dataset(frame, tmp_path / "ds", chunk_rows=2))
-        city = handle.chunk_column("city", 0)
-        country = handle.chunk_column("country", 0)
-        assert city.fingerprint() != country.fingerprint()
-        assert city.fingerprint() == frame["city"].take(np.asarray([0, 1])).fingerprint()
 
     def test_unicode_u_dtype_column(self, tmp_path):
         frame = DataFrame({"g": np.asarray(["αβγ", "jazz", "αβγ"])})
@@ -114,14 +96,80 @@ class TestRoundTrip:
         assert read_dataset(tmp_path / "ds").num_rows == 2
 
     def test_verify_detects_corruption(self, mixed_frame, tmp_path):
-        path = write_dataset(mixed_frame, tmp_path / "ds", chunk_rows=3)
+        path = write_dataset(mixed_frame, tmp_path / "ds")
         open_dataset(path).verify()
-        target = path / "c1.bin"
-        blob = bytearray(target.read_bytes())
-        blob[-1] ^= 0xFF
-        target.write_bytes(bytes(blob))
-        with pytest.raises(StorageError, match="fingerprint"):
-            open_dataset(path).verify()
+        # One flipped byte in the raw "i" column, then in the dict "cat"
+        # column, where the flip keeps every code a valid dictionary index.
+        for file_name, offset in [("c1.bin", -1), ("c3.bin", HEADER_SIZE)]:
+            target = path / file_name
+            pristine = target.read_bytes()
+            blob = bytearray(pristine)
+            blob[offset] ^= 0x01
+            target.write_bytes(bytes(blob))
+            with pytest.raises(StorageError, match="digest"):
+                open_dataset(path).verify()
+            target.write_bytes(pristine)
+        open_dataset(path).verify()
+
+
+def _rewrite_as_version_1(path) -> None:
+    """Give a fresh dataset the exact layout the version-1 writer produced.
+
+    Version 1 manifests put the row-chunk size at the top level and a list
+    of per-chunk statistics on every column, and recorded no digest; its
+    column files declared version 1 in their headers.  A table this small
+    is one chunk, whose statistics the old writer computed as below.
+    """
+    manifest = json.loads((path / MANIFEST_NAME).read_text())
+    columns = []
+    for column in manifest["columns"]:
+        blob = (path / column["file"]).read_bytes()
+        (path / column["file"]).write_bytes(
+            blob[:8] + (1).to_bytes(4, "little") + blob[12:]
+        )
+        values = np.frombuffer(blob[HEADER_SIZE:], dtype=np.dtype(column["dtype"]))
+        if column["encoding"] == "dict":
+            missing = values < 0
+        elif values.dtype.kind == "f":
+            missing = np.isnan(values)
+        else:
+            missing = np.zeros(len(values), dtype=bool)
+        present = values[~missing]
+        chunk = {
+            "rows": len(values), "nulls": int(missing.sum()),
+            "distinct": int(np.unique(present).size),
+            "min": encode_scalar(present.min().item()) if present.size else None,
+            "max": encode_scalar(present.max().item()) if present.size else None,
+            "fingerprint": column["digest"],
+        }
+        old = {key: column[key] for key in
+               ("name", "kind", "encoding", "dtype", "file", "fingerprint")}
+        old["chunks"] = [chunk] if len(values) else []
+        for key in ("dictionary", "dictionary_is_factorization"):
+            if key in column:
+                old[key] = column[key]
+        columns.append(old)
+    (path / MANIFEST_NAME).write_text(json.dumps({
+        "magic": manifest["magic"], "version": 1, "num_rows": manifest["num_rows"],
+        "chunk_rows": 65_536, "fingerprint": manifest["fingerprint"],
+        "columns": columns,
+    }))
+
+
+class TestVersion1Stores:
+    def test_version_1_store_serves_equal_frames_and_refuses_verify(
+            self, mixed_frame, tmp_path):
+        DatasetStore(tmp_path).put("songs", mixed_frame)
+        _rewrite_as_version_1(tmp_path / "songs")
+        store = DatasetStore(tmp_path)
+        opened = store.open("songs")
+        assert store.dataset("songs").manifest.version == 1
+        assert_round_trip(mixed_frame, opened)
+        descriptor = opened.descriptor()
+        assert descriptor.version == 1
+        assert_round_trip(mixed_frame, DataFrame.from_descriptor(descriptor))
+        with pytest.raises(StorageError, match="no digest.*rewrite"):
+            store.dataset("songs").verify()
 
 
 class TestFormatValidation:
@@ -167,11 +215,19 @@ class TestFormatValidation:
         assert header[:8] == MAGIC
         assert int.from_bytes(header[8:12], "little") == FORMAT_VERSION
 
-    def test_chunk_ranges(self):
-        assert chunk_ranges(10, 4) == [(0, 4), (4, 8), (8, 10)]
-        assert chunk_ranges(0, 4) == []
-        with pytest.raises(StorageError):
-            chunk_ranges(10, 0)
+    @pytest.mark.parametrize("code", [2**56, -5], ids=["too-large", "below-missing"])
+    def test_corrupt_dictionary_code_raises(self, tmp_path, code):
+        """A code outside [-1, len(dictionary)) is corruption, never a value."""
+        frame = DataFrame({"cat": np.asarray(["a", "b", "a", None], dtype=object)})
+        path = write_dataset(frame, tmp_path / "ds")
+        target = path / "c0.bin"
+        blob = bytearray(target.read_bytes())
+        blob[HEADER_SIZE:HEADER_SIZE + 8] = code.to_bytes(8, "little", signed=True)
+        target.write_bytes(bytes(blob))
+        with pytest.raises(StorageError, match="'cat'.*c0.bin"):
+            open_dataset(path).column("cat").values
+        with pytest.raises(StorageError, match="'cat'.*c0.bin"):
+            open_dataset(path).column("cat").factorize()
 
     def test_scalar_coding_round_trip(self):
         for value in [None, "s", "", 3, -1, 2.5, float("nan"), float("inf"),
@@ -210,8 +266,8 @@ def frames(draw) -> DataFrame:
 
 class TestPropertyRoundTrip:
     @settings(max_examples=40, deadline=None)
-    @given(frame=frames(), chunk_rows=st.integers(min_value=1, max_value=6))
-    def test_round_trip(self, frame, chunk_rows, tmp_path_factory):
+    @given(frame=frames())
+    def test_round_trip(self, frame, tmp_path_factory):
         target = tmp_path_factory.mktemp("storage") / "ds"
-        write_dataset(frame, target, chunk_rows=chunk_rows)
+        write_dataset(frame, target)
         assert_round_trip(frame, read_dataset(target))
