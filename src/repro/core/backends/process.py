@@ -39,15 +39,16 @@ Each worker rebuilds the step from the spec exactly once per backend
 (descriptors → mmap frames → re-apply the declarative operation → an
 embedded incremental backend), then serves any number of shards from that
 cached state.  The backend's heavy derived structure — group-by layout,
-join matches, row provenance — lives one level deeper, in a worker-global
-:class:`_WorkerStructureCache` keyed by content fingerprints exactly like
-the in-process :class:`~repro.session.cache.SessionCache`, so it survives
-across backend tokens: the *next step* of a session grouping the same
-stored frame by the same keys reuses the structure instead of re-deriving
-it.  Because every shard runs the same incremental derivations over the
-same values, results are keyed by shard identity and bit-identical to the
-serial incremental backend regardless of worker count, batch size,
-completion order, or which worker ran what.
+join matches, row provenance — lives one level deeper, in one worker-global
+:class:`~repro.session.cache.SessionCache` per worker process, bounded by
+its store's byte budget.  It is keyed by content fingerprints like the
+in-process session cache, so it survives across backend tokens: the *next
+step* of a session grouping the same stored frame by the same keys reuses
+the structure instead of re-deriving it.  Because every shard runs the
+same incremental derivations over the same values, results are keyed by
+shard identity and bit-identical to the serial incremental backend
+regardless of worker count, batch size, completion order, or which worker
+ran what.
 
 Worker loss is survived, not propagated: a batch whose future fails — a
 killed child, a broken pool, an unpicklable result — is recomputed serially
@@ -84,8 +85,6 @@ from ..interestingness import DiversityMeasure, ExceptionalityMeasure
 from ..partition import RowPartition, RowSet
 from .base import ContributionBackend, iter_shard_batches, resolve_shard_batch
 from .incremental import IncrementalBackend
-
-_MISSING = object()
 
 #: Worker count used when the caller does not pick one explicitly.
 DEFAULT_WORKERS = min(4, os.cpu_count() or 1)
@@ -741,82 +740,23 @@ if hasattr(os, "register_at_fork"):
 
 
 # ------------------------------------------------------------- worker side
-class _WorkerStructureCache:
-    """Cross-step structure reuse inside one worker process.
-
-    Implements the same hooks a :class:`~repro.session.cache.SessionCache`
-    offers an :class:`IncrementalBackend` (``row_sources`` /
-    ``groupby_structure`` / ``left_join_structure``), with the same
-    content-addressed keys: frame fingerprints plus the operation's
-    declarative signature.  One module-level instance outlives every
-    :class:`_WorkerState` — backend tokens change per step, but two steps
-    grouping the same stored frame by the same keys resolve to the same
-    fingerprints, so the second step's workers reuse the first step's group
-    structure instead of re-deriving it (mirroring in-process session
-    reuse).
-
-    Keys invalidate themselves: a worker frame is descriptor-resolved, so
-    its fingerprint comes from the persisted manifest — a rewritten dataset
-    yields a new fingerprint and therefore a fresh entry, never a stale
-    one.  The LRU cap bounds a long-lived worker serving many distinct
-    steps.
-    """
-
-    __slots__ = ("_entries", "_cap", "hits", "misses")
-
-    def __init__(self, cap: int) -> None:
-        self._entries: "OrderedDict[Tuple, object]" = OrderedDict()
-        self._cap = cap
-        self.hits = 0
-        self.misses = 0
-
-    def _memo(self, key: Tuple, build) -> object:
-        value = self._entries.get(key, _MISSING)
-        if value is not _MISSING:
-            self._entries.move_to_end(key)
-            self.hits += 1
-            return value
-        self.misses += 1
-        value = build()
-        self._entries[key] = value
-        while len(self._entries) > self._cap:
-            self._entries.popitem(last=False)
-        return value
-
-    def _input_fingerprints(self, step) -> Tuple[str, ...]:
-        return tuple(frame.fingerprint() for frame in step.inputs)
-
-    # The key layouts mirror SessionCache's structure layer, so the sharing
-    # semantics (what invalidates, what is reused across which steps) are
-    # identical in and out of process.
-    def groupby_structure(self, step, build):
-        operation = step.operation
-        pre_filter = getattr(operation, "pre_filter", None)
-        key = (
-            "groupby", step.inputs[0].fingerprint(),
-            tuple(getattr(operation, "keys", ())),
-            pre_filter.signature() if pre_filter is not None else None,
-        )
-        return self._memo(key, lambda: build(step))
-
-    def row_sources(self, step, build):
-        key = ("sources", step.operation.kind, step.operation.signature(),
-               self._input_fingerprints(step))
-        return self._memo(key, lambda: build(step))
-
-    def left_join_structure(self, step, build):
-        key = ("leftjoin", step.operation.signature(),
-               self._input_fingerprints(step))
-        return self._memo(key, lambda: build(step))
+#: The per-worker-process structure cache: one
+#: :class:`~repro.session.cache.SessionCache` that outlives every
+#: :class:`_WorkerState` (backend tokens change per step), bounded by its
+#: store's byte budget.  Built on first use inside the worker, so a forked
+#: worker never inherits a parent's store locks.
+_WORKER_CACHE = None
 
 
-#: Entry cap of the worker structure cache; structures are priced per step,
-#: not per byte, so the cap is the simple bound on a worker that serves many
-#: distinct steps back to back.
-_WORKER_STRUCTURE_CAP = 32
+def _worker_cache():
+    global _WORKER_CACHE
+    if _WORKER_CACHE is None:
+        # Imported here: repro.session imports the engine, which imports
+        # this module.
+        from ...session.cache import SessionCache
 
-#: The per-worker-process structure cache (survives across backend tokens).
-_WORKER_STRUCTURES = _WorkerStructureCache(_WORKER_STRUCTURE_CAP)
+        _WORKER_CACHE = SessionCache()
+    return _WORKER_CACHE
 
 
 class _WorkerState:
@@ -832,7 +772,7 @@ class _WorkerState:
 #: Per-worker-process cache of rebuilt states, keyed by backend token.  The
 #: cap bounds a worker serving many steps: an evicted state costs one
 #: rebuild (the mmap buffers themselves stay cached in shared_dataset, and
-#: the heavy derived structure stays cached in _WORKER_STRUCTURES).
+#: the heavy derived structure stays cached in _WORKER_CACHE).
 _WORKER_STATES: "OrderedDict[str, _WorkerState]" = OrderedDict()
 _WORKER_STATE_CAP = 4
 
@@ -850,7 +790,7 @@ def _build_worker_state(spec: StepSpec) -> _WorkerState:
     # The worker-global structure cache plugs in as the backend's context —
     # group-by/join structure and row provenance are then keyed by content
     # and survive this state's eviction (and the session's next step).
-    backend = IncrementalBackend(step, measure, context=_WORKER_STRUCTURES)
+    backend = IncrementalBackend(step, measure, context=_worker_cache())
     return _WorkerState(step, backend)
 
 
@@ -901,10 +841,9 @@ def _run_batch(token: str, spec_blob: bytes,
                 state.backend.partition_contributions(partition, attribute, baseline)
             )
             seconds.append(time.perf_counter() - started)
-        wspan.set("structure_hits", _WORKER_STRUCTURES.hits - before["structure_hits"])
-        wspan.set("structure_misses",
-                  _WORKER_STRUCTURES.misses - before["structure_misses"])
-    stats = _structure_delta(before)
+        stats = _structure_delta(before)
+        wspan.set("structure_hits", stats["structure_hits"])
+        wspan.set("structure_misses", stats["structure_misses"])
     _record_worker_metrics(time.perf_counter() - batch_started, seconds, stats)
     stats["metrics"] = registry_delta(metrics_before, WORKER_REGISTRY.dump())
     stats["pid"] = os.getpid()
@@ -914,9 +853,10 @@ def _run_batch(token: str, spec_blob: bytes,
 
 
 def _structure_counters() -> Dict[str, int]:
+    stats = _worker_cache().stats
     return {
-        "structure_hits": _WORKER_STRUCTURES.hits,
-        "structure_misses": _WORKER_STRUCTURES.misses,
+        "structure_hits": stats.structure_hits,
+        "structure_misses": stats.structure_misses,
     }
 
 

@@ -9,8 +9,9 @@ weighted top-k cut).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import List, Optional, Sequence
+from dataclasses import dataclass, replace
+from numbers import Integral, Real
+from typing import Optional, Sequence
 
 from ..errors import ExplanationError
 from .backends.base import DEFAULT_BACKEND, resolve_backend_class
@@ -22,6 +23,16 @@ DEFAULT_SET_COUNTS = (5, 10)
 DEFAULT_SAMPLE_SIZE = 5_000
 
 _UNSET = object()
+
+
+def _is_integer(value: object) -> bool:
+    """An integer that is not a ``bool`` (``True`` is no sample size)."""
+    return isinstance(value, Integral) and not isinstance(value, bool)
+
+
+def _is_names(value: object) -> bool:
+    """A list or tuple of column names (a bare string is refused)."""
+    return isinstance(value, (list, tuple)) and all(isinstance(name, str) for name in value)
 
 
 @dataclass(frozen=True)
@@ -105,16 +116,6 @@ class FedexConfig:
         (:data:`repro.core.backends.process.DEFAULT_SPILL_BYTES`, 4 MiB);
         ``0`` spills every in-memory input.  Storage-backed frames never
         spill — their descriptors are free.
-    cache_reports:
-        Let an :class:`~repro.session.ExplanationSession` memoize whole
-        explanation reports keyed by (step signature, config signature) —
-        re-explaining an already-seen step becomes a dictionary lookup.
-        Only consulted when explaining through a session.
-    cache_structures:
-        Let a session reuse cross-step intervention structure (column
-        argsorts / factorizations, row partitions, per-group partial
-        aggregates, row provenance) keyed by content fingerprints.  Only
-        consulted when explaining through a session.
     """
 
     sample_size: Optional[int] = None
@@ -135,12 +136,34 @@ class FedexConfig:
     workers: Optional[int] = None
     shard_batch: Optional[int] = None
     spill_bytes: Optional[int] = None
-    cache_reports: bool = True
-    cache_structures: bool = True
 
     def __post_init__(self) -> None:
-        if self.sample_size is not None and self.sample_size <= 0:
-            raise ExplanationError(f"sample_size must be positive, got {self.sample_size}")
+        # The result-shaping fields arrive from HTTP clients too (see
+        # repro.serving.protocol.ALLOWED_CONFIG_OVERRIDES): reject a wrong
+        # type here, before the engine trips over it or quietly answers
+        # something else.
+        for name in ("sample_size", "top_k_columns", "top_k_explanations"):
+            value = getattr(self, name)
+            if value is not None and not (_is_integer(value) and value >= 1):
+                raise ExplanationError(
+                    f"{name} must be None or an integer >= 1, got {value!r}")
+        if self.seed is not None and not _is_integer(self.seed):
+            raise ExplanationError(f"seed must be None or an integer, got {self.seed!r}")
+        for name in ("use_skyline", "positive_contribution_only"):
+            if not isinstance(getattr(self, name), bool):
+                raise ExplanationError(
+                    f"{name} must be a bool, got {getattr(self, name)!r}")
+        for name in ("interestingness_weight", "contribution_weight"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Real):
+                raise ExplanationError(f"{name} must be a real number, got {value!r}")
+        if self.target_columns is not None and not _is_names(self.target_columns):
+            raise ExplanationError(
+                "target_columns must be None or a list of column names, "
+                f"got {self.target_columns!r}")
+        if not _is_names(self.exclude_columns):
+            raise ExplanationError(
+                f"exclude_columns must be a list of column names, got {self.exclude_columns!r}")
         if not self.set_counts:
             raise ExplanationError("set_counts must contain at least one value")
         if any(count < 1 for count in self.set_counts):

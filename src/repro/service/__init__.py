@@ -3,7 +3,7 @@
 The serving stack, bottom to top:
 
 * :class:`~repro.session.store.CacheStore` — shared, thread-safe,
-  byte-budgeted LRU store with per-tenant quotas and snapshot persistence;
+  byte-budgeted LRU store with per-tenant quotas;
 * :class:`~repro.session.ExplanationSession` — one lightweight per-tenant
   view over the store;
 * :class:`ExplanationService` — the concurrent front end: worker pool,

@@ -96,9 +96,10 @@ class ExplanationService:
         The serving knobs (:class:`~repro.core.config.ServiceConfig`):
         cache budget, per-tenant quotas, worker count, admission policy.
     store:
-        An existing shared store — e.g. one rebuilt from a
-        :meth:`~repro.session.store.CacheStore.save` snapshot so the
-        service starts warm.  Built from ``service_config`` by default.
+        An existing shared store — e.g. one built with ``tier=`` over a
+        :class:`~repro.serving.SharedCacheTier`, so the service promotes
+        reports and scores that an earlier process wrote through to the
+        tier.  Built from ``service_config`` by default.
     registry:
         Optional measure registry shared by every tenant session.  Note
         that a custom registry keys reports under a process-local
@@ -314,10 +315,6 @@ class ExplanationService:
             "workers": self.service_config.workers,
             "store_bytes": self.store.usage_bytes,
         }
-
-    def save_cache(self, path: str) -> int:
-        """Snapshot the shared store (see :meth:`CacheStore.save`)."""
-        return self.store.save(path)
 
     def close(self, wait: bool = True) -> None:
         """Stop accepting requests and shut the worker pool down."""

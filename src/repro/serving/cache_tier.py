@@ -2,9 +2,11 @@
 
 N replica processes over one :class:`~repro.storage.store.DatasetStore`
 share mmap pages for the *data*; this module shares the *computed* state:
-a disk-backed segment that :class:`~repro.session.store.CacheStore`
-snapshots are promoted into, so an explanation computed by one replica is
-a file read (not a recomputation) for every other replica.
+a disk-backed segment that every :class:`~repro.session.store.CacheStore`
+built with ``tier=`` writes its reports and scores through to, so an
+explanation computed by one replica is a file read (not a recomputation)
+for every other replica — and for a replica started later, which is how a
+restarted process comes up warm.
 
 Layout::
 
@@ -188,19 +190,6 @@ class SharedCacheTier:
         with self._lock:
             self.stats["offers"] += 1
         return True
-
-    def publish(self, store) -> int:
-        """Bulk-promote a :class:`CacheStore`'s served layers into the tier.
-
-        The warm-handoff path: a replica that has served traffic publishes
-        its snapshot so replicas started later boot warm.  Returns the
-        number of entries written.
-        """
-        written = 0
-        for layer, key, _tenant, nbytes, value in store.snapshot_entries():
-            if self.offer(layer, key, value, nbytes=nbytes):
-                written += 1
-        return written
 
     def sweep(self) -> int:
         """Delete stale epoch directories; returns how many were removed."""

@@ -331,7 +331,8 @@ class ExplanationServer:
             try:
                 writer.close()
                 await writer.wait_closed()
-            except Exception:
+            except (Exception, asyncio.CancelledError):
+                # close() cancels lingering handlers, which can land here.
                 pass
 
     async def _dispatch(self, writer, method: str, target: str,

@@ -7,8 +7,9 @@ stateless.  This subsystem adds the session layer on top:
   requests for one exploration session (one notebook, one user);
 * :class:`CacheStore` — the shared, thread-safe, byte-budgeted LRU store
   holding the entries (reports, scores, partitions, structure, columns)
-  with per-tenant quotas, in-flight request coalescing, and
-  ``save()``/``load()`` snapshot persistence;
+  with per-tenant quotas and in-flight request coalescing.  Its byte
+  budget is the only bound on what a session keeps, and a store built
+  with ``tier=`` is the only way cached state outlives the process;
 * :class:`SessionCache` — one session's lightweight view over a store:
   tenant identity, per-view statistics, request-scoped fingerprint memo;
 * signatures (re-exported from :mod:`repro.core.signatures`) — the

@@ -15,9 +15,9 @@ thread-safe, byte-budgeted :class:`~repro.session.store.CacheStore`;
 ``SessionCache`` is the lightweight *view* one session holds over it: it
 contributes the tenant identity every insert is charged to, the per-view
 hit/miss statistics, and the request-scoped fingerprint memo (thread-local,
-so concurrent workers serving one tenant never share a memo).  A private
-store is created when none is injected, which preserves the original
-one-session-one-cache behaviour exactly.
+so concurrent workers serving one tenant never share a memo).  A view built
+without a store gets a private ``CacheStore()`` with the default byte
+budget, which bounds every layer together.
 
 Five layers, from coarse to fine:
 
@@ -99,33 +99,18 @@ class SessionCache:
 
     Parameters
     ----------
-    max_reports / max_columns / max_partitions / max_structures:
-        Per-layer entry caps applied to a *privately created* store (the
-        original single-session bounds).  Ignored when ``store`` is
-        injected — a shared store is governed by its own byte budget.
     store:
         The shared :class:`~repro.session.store.CacheStore` holding the
-        entries.  ``None`` creates a private store bounded by the entry
-        caps plus the default byte budget.
+        entries.  ``None`` creates a private store with the default byte
+        budget.
     tenant:
         Tenant identity every insert through this view is charged to.
     """
 
-    def __init__(self, max_reports: int = 256, max_columns: int = 4_096,
-                 max_partitions: int = 1_024, max_structures: int = 512,
-                 store: Optional[CacheStore] = None, tenant: str = "default") -> None:
-        self.max_reports = max_reports
-        self.max_columns = max_columns
-        self.max_partitions = max_partitions
-        self.max_structures = max_structures
+    def __init__(self, store: Optional[CacheStore] = None,
+                 tenant: str = "default") -> None:
         self.tenant = tenant
-        if store is None:
-            store = CacheStore(max_entries={
-                "reports": max_reports, "columns": max_columns,
-                "partitions": max_partitions, "structures": max_structures,
-                "scores": max_reports,
-            })
-        self.store = store
+        self.store = store if store is not None else CacheStore()
         self.stats = SessionCacheStats()
         # Request-scoped fingerprint memos (id -> (object, fingerprint)); the
         # kept object reference pins the id for the memo's lifetime.  Active
@@ -221,17 +206,28 @@ class SessionCache:
             self.stats.report_hits += 1
         return report
 
+    # ------------------------------------------------------------ read-through
+    def _read_through(self, layer: str, counter: str, key: Tuple,
+                      build: Callable[[], object]) -> object:
+        """``layer``'s entry for ``key``, built and stored on a miss.
+
+        Counts the lookup in :attr:`stats` as ``<counter>_hits`` or
+        ``<counter>_misses``.
+        """
+        cached = self.store.get(layer, key, default=_MISSING)
+        hit = cached is not _MISSING
+        name = f"{counter}_hits" if hit else f"{counter}_misses"
+        setattr(self.stats, name, getattr(self.stats, name) + 1)
+        if hit:
+            return cached
+        built = build()
+        self.store.put(layer, key, built, tenant=self.tenant)
+        return built
+
     # ------------------------------------------------------------------ scores
     def score(self, key: Tuple, build: Callable[[], float]) -> float:
         """A phase-1 interestingness score, memoized by content key."""
-        cached = self.store.get("scores", key, default=_MISSING)
-        if cached is not _MISSING:
-            self.stats.score_hits += 1
-            return cached
-        self.stats.score_misses += 1
-        value = build()
-        self.store.put("scores", key, value, tenant=self.tenant)
-        return value
+        return self._read_through("scores", "score", key, build)
 
     # -------------------------------------------------------------- partitions
     def partitions(self, key: Tuple,
@@ -243,14 +239,7 @@ class SessionCache:
         group values) — the caller hashes the frame once and reuses the
         fingerprint across its per-attribute keys.
         """
-        cached = self.store.get("partitions", key, default=_MISSING)
-        if cached is not _MISSING:
-            self.stats.partition_hits += 1
-            return cached
-        self.stats.partition_misses += 1
-        built = build()
-        self.store.put("partitions", key, built, tenant=self.tenant)
-        return built
+        return self._read_through("partitions", "partition", key, build)
 
     # ----------------------------------------------------- operation structure
     def groupby_structure(self, step: ExploratoryStep, build: Callable) -> object:
@@ -290,14 +279,7 @@ class SessionCache:
         return self._structure(key, lambda: build(step))
 
     def _structure(self, key: Tuple, build: Callable[[], object]) -> object:
-        cached = self.store.get("structures", key, default=_MISSING)
-        if cached is not _MISSING:
-            self.stats.structure_hits += 1
-            return cached
-        self.stats.structure_misses += 1
-        built = build()
-        self.store.put("structures", key, built, tenant=self.tenant)
-        return built
+        return self._read_through("structures", "structure", key, build)
 
     # --------------------------------------------------------- column adoption
     def adopt_step(self, step: ExploratoryStep) -> None:
@@ -340,27 +322,6 @@ class SessionCache:
         self.stats.columns_adopted += 1
         self.store.put("columns", fingerprint, column, tenant=self.tenant)
         return column
-
-    # --------------------------------------------------------------- inspection
-    @property
-    def _reports(self) -> Dict:
-        """Snapshot of the reports layer (tests/debugging)."""
-        return self.store.layer_items("reports")
-
-    @property
-    def _partitions(self) -> Dict:
-        """Snapshot of the partitions layer (tests/debugging)."""
-        return self.store.layer_items("partitions")
-
-    @property
-    def _structures(self) -> Dict:
-        """Snapshot of the structures layer (tests/debugging)."""
-        return self.store.layer_items("structures")
-
-    @property
-    def _columns(self) -> Dict:
-        """Snapshot of the columns layer (tests/debugging)."""
-        return self.store.layer_items("columns")
 
     # ------------------------------------------------------------ housekeeping
     def clear(self) -> None:

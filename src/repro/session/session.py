@@ -28,10 +28,6 @@ Usage::
     popular = songs.filter(...)               # through this session
     print(popular.explain().render_text())
 
-Caching is governed by the request's config: ``cache_reports=False``
-disables the full-report memo, ``cache_structures=False`` detaches the
-engine from the structure cache (each toggle independently).
-
 A request can be keyed ahead of time with :meth:`ExplanationSession.prepare`
 — on another thread than the one that explains it.  For a derived step the
 key is its lineage, so a memoized report is found without applying the
@@ -40,9 +36,8 @@ step's operation (see :mod:`repro.core.signatures`).
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from ..core.config import FedexConfig
 from ..core.engine import ExplainerPool, ExplanationReport, FedexExplainer
@@ -66,12 +61,11 @@ class _EnvironmentToken:
 class PreparedExplain:
     """A request keyed ahead of :meth:`ExplanationSession.explain`.
 
-    ``key`` is the report-memo key (``None`` when the request's config
-    disables report caching) and ``memoized`` whether the session's local
-    store held that report when it was keyed.
+    ``key`` is the report-memo key and ``memoized`` whether the session's
+    local store held that report when it was keyed.
     """
 
-    key: Optional[Tuple]
+    key: Tuple
     memoized: bool
 
 
@@ -93,7 +87,7 @@ class ExplanationSession:
         layer active.
     cache:
         The cross-step cache view; injectable for sharing across sessions or
-        for inspection in tests.  A fresh bounded cache by default.
+        for inspection in tests.  By default a fresh view over ``store``.
     store:
         Alternatively, a shared :class:`~repro.session.store.CacheStore`:
         the session builds its own lightweight :class:`SessionCache` view
@@ -101,10 +95,9 @@ class ExplanationSession:
     tenant:
         Tenant identity for store accounting (per-tenant byte quotas) when
         the session shares a store with other sessions.
-    max_history:
-        Number of recent steps retained in :attr:`history`.  Bounded because
-        each retained step pins its input/output dataframes in memory — a
-        long-lived session must not grow with the number of requests served.
+
+    The store's byte budget is the only bound on what a session keeps: the
+    session holds no reference to the steps it explained.
     """
 
     def __init__(self, config: FedexConfig | None = None,
@@ -112,8 +105,7 @@ class ExplanationSession:
                  extra_partitioners: Sequence[Partitioner] | None = None,
                  cache: SessionCache | None = None,
                  store: "CacheStore | None" = None,
-                 tenant: str = "default",
-                 max_history: int = 256) -> None:
+                 tenant: str = "default") -> None:
         self.config = config or FedexConfig()
         self.registry = registry or default_registry()
         self.extra_partitioners = list(extra_partitioners or [])
@@ -122,7 +114,6 @@ class ExplanationSession:
         self.cache = cache
         self.tenant = cache.tenant
         self._explainers = ExplainerPool(self._build_explainer)
-        self._history: "deque[ExploratoryStep]" = deque(maxlen=max_history)
         # Report-memo key component identifying the session's measure/
         # partitioner environment.  Sessions with the default environment
         # share memoized reports through a shared cache; a custom registry
@@ -151,7 +142,7 @@ class ExplanationSession:
             key = self._report_key(step, measure, effective)
         # A membership test, not a lookup: it counts nothing and skips the
         # shared tier (a report held only there reads as absent).
-        memoized = key is not None and ("reports", key) in self.cache.store
+        memoized = ("reports", key) in self.cache.store
         return PreparedExplain(key, memoized)
 
     def explain(self, step: ExploratoryStep, measure: str | None = None,
@@ -173,7 +164,6 @@ class ExplanationSession:
         hit.  ``prepared`` (from :meth:`prepare`) supplies the report key.
         """
         effective = config or self.config
-        self._history.append(step)
         # One request scope: every fingerprint needed below (step signature,
         # column adoption, partition/structure keys) is hashed at most once.
         with self.cache.request():
@@ -182,18 +172,14 @@ class ExplanationSession:
             compute = lambda: self._explainers.for_config(effective).explain(
                 step, measure=measure, progress=progress
             )
-            if key is None:
-                return compute()
             # Coalesced through the shared store: concurrent misses on the
             # same key (four tenants replaying one workload) share a single
             # computation instead of racing four identical ones.
             return self.cache.report_singleflight(key, compute)
 
     def _report_key(self, step: ExploratoryStep, measure: str | None,
-                    config: FedexConfig) -> Optional[Tuple]:
-        """The report-memo key of a request; ``None`` when report caching is off."""
-        if not config.cache_reports:
-            return None
+                    config: FedexConfig) -> Tuple:
+        """The report-memo key of a request."""
         return (
             step_signature(step, frame_fingerprint=self.cache.frame_fingerprint),
             config_signature(config), measure, self._environment_token,
@@ -202,11 +188,6 @@ class ExplanationSession:
     def open(self, frame: DataFrame, config: FedexConfig | None = None) -> ExplainableDataFrame:
         """Wrap a dataframe so every ``explain()`` on it routes through this session."""
         return ExplainableDataFrame(frame, config=config or self.config, session=self)
-
-    @property
-    def history(self) -> List[ExploratoryStep]:
-        """Every step this session was asked to explain (oldest first)."""
-        return list(self._history)
 
     @property
     def stats(self) -> SessionCacheStats:
@@ -219,14 +200,13 @@ class ExplanationSession:
         self._explainers.clear()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"ExplanationSession(steps={len(self._history)}, "
-                f"engines={len(self._explainers)}, cache={self.cache!r})")
+        return (f"ExplanationSession(engines={len(self._explainers)}, "
+                f"cache={self.cache!r})")
 
     # ---------------------------------------------------------------- internals
     def _build_explainer(self, config: FedexConfig) -> FedexExplainer:
         """Engine factory for the pool: session registry/partitioners/context."""
-        context = self.cache if config.cache_structures else None
         return FedexExplainer(
             config=config, registry=self.registry,
-            extra_partitioners=self.extra_partitioners, context=context,
+            extra_partitioners=self.extra_partitioners, context=self.cache,
         )

@@ -27,11 +27,6 @@ Design points, in the order they matter:
   eventually bump recency (a write), reads record their touches in a
   lock-free queue that the next writer drains — recency is batched, never
   blocking the read path.
-* **Snapshot persistence.**  :meth:`save` pickles the entries to a file and
-  :meth:`load` rebuilds a store from one, so a warmed cache survives a
-  process restart (or ships to another serving process).  Entries that
-  cannot be pickled (custom environment tokens hold process-local
-  identity on purpose) are skipped, never fatal.
 * **In-flight request coalescing.**  :meth:`singleflight` lets concurrent
   misses on the same key share one computation: the first caller becomes
   the leader and computes, followers block on an event and read the
@@ -42,14 +37,13 @@ Design points, in the order they matter:
 
 from __future__ import annotations
 
-import pickle
 import sys
 import threading
 import types
 from collections import OrderedDict, deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -64,9 +58,6 @@ DEFAULT_BUDGET_BYTES = DEFAULT_CACHE_BUDGET_BYTES
 #: Read-side recency records are drained opportunistically once the queue
 #: grows past this; a pure-hit workload must not accumulate touches forever.
 _TOUCH_DRAIN_THRESHOLD = 4_096
-
-#: Layers a store distinguishes (used for per-layer entry caps and stats).
-STORE_LAYERS = ("reports", "scores", "partitions", "structures", "columns")
 
 #: Fallback object size when ``sys.getsizeof`` is unavailable for a value.
 _DEFAULT_OBJECT_SIZE = 64
@@ -255,23 +246,21 @@ class CacheStore:
     ----------
     budget_bytes:
         Global cap on the measured bytes of all entries.  ``None`` disables
-        byte-based eviction (entry caps, when given, still apply).
+        byte-based eviction.
     tenant_quota_bytes:
         Per-tenant byte cap.  Either one integer applied to every tenant or
         a mapping ``tenant -> quota``; tenants absent from the mapping are
         unbounded (up to the global budget).  ``None`` disables quotas.
-    max_entries:
-        Optional per-layer entry caps, ``{layer: count}`` — retained for
-        the single-session :class:`~repro.session.cache.SessionCache`
-        compatibility surface; byte budgets are the primary bound.
     tier:
         Optional out-of-process second cache level (duck-typed: ``lookup``
         and ``offer``, e.g. :class:`repro.serving.SharedCacheTier`).  A
         local miss consults the tier and promotes its hit into this store
         (charged to the ``"shared"`` pseudo-tenant); local inserts are
-        offered back so other replicas can promote them.  Tier failures
-        (disk gone, unpicklable value) degrade to plain misses — the tier
-        is an optimization, never a correctness dependency.
+        offered back so other replicas — and stores built later over the
+        same tier — can promote them.  This write-through is the only way
+        cached state outlives the process.  Tier failures (disk gone,
+        unpicklable value) degrade to plain misses — the tier is an
+        optimization, never a correctness dependency.
     """
 
     #: Tenant that tier-promoted entries are charged to.  A pseudo-tenant:
@@ -280,13 +269,11 @@ class CacheStore:
 
     def __init__(self, budget_bytes: Optional[int] = DEFAULT_BUDGET_BYTES,
                  tenant_quota_bytes: Optional[object] = None,
-                 max_entries: Optional[Dict[str, int]] = None,
                  tier: Optional[object] = None) -> None:
         if budget_bytes is not None and budget_bytes <= 0:
             raise ValueError(f"budget_bytes must be positive, got {budget_bytes}")
         self.budget_bytes = budget_bytes
         self._tenant_quotas = tenant_quota_bytes
-        self._max_entries = dict(max_entries or {})
         self._entries: "OrderedDict[Tuple[str, object], _Entry]" = OrderedDict()
         self._layer_counts: Dict[str, int] = {}
         self._usage = 0
@@ -380,16 +367,6 @@ class CacheStore:
                 pass
         return True
 
-    def memoize(self, layer: str, key: object, build: Callable[[], object],
-                tenant: str = "default") -> object:
-        """``get`` or build-and-``put`` — the common read-through pattern."""
-        value = self.get(layer, key, default=_MISSING)
-        if value is not _MISSING:
-            return value
-        value = build()
-        self.put(layer, key, value, tenant=tenant)
-        return value
-
     # ------------------------------------------------------------ coalescing
     def singleflight(self, layer: str, key: object, build: Callable[[], object],
                      tenant: str = "default") -> object:
@@ -455,14 +432,6 @@ class CacheStore:
         with self._lock.read():
             return self._layer_counts.get(layer, 0)
 
-    def layer_items(self, layer: str) -> "OrderedDict[object, object]":
-        """Snapshot of one layer's ``key -> value`` mapping (LRU order)."""
-        with self._lock.read():
-            return OrderedDict(
-                (key, entry.value) for (entry_layer, key), entry in self._entries.items()
-                if entry_layer == layer
-            )
-
     def clear(self) -> None:
         """Drop every entry (metrics are retained; they are lifetime counters)."""
         with self._lock.write():
@@ -472,66 +441,6 @@ class CacheStore:
             self._tenant_lru.clear()
             self._usage = 0
             self._touches.clear()
-
-    def snapshot_entries(self) -> List[Tuple[str, object, str, int, object]]:
-        """A consistent ``(layer, key, tenant, nbytes, value)`` snapshot.
-
-        Recency order is preserved (oldest first).  This is the surface the
-        snapshot persistence and the shared cache tier's bulk
-        :meth:`~repro.serving.SharedCacheTier.publish` both read from.
-        """
-        with self._lock.read():
-            return [
-                (layer, key, entry.tenant, entry.nbytes, entry.value)
-                for (layer, key), entry in self._entries.items()
-            ]
-
-    # ------------------------------------------------------------- persistence
-    def save(self, path: str) -> int:
-        """Snapshot the store to ``path``; returns the number of saved entries.
-
-        Entries are pickled individually so one unpicklable value (e.g. a
-        report keyed under a process-local environment token, or a custom
-        structure holding a lambda) skips that entry instead of failing the
-        snapshot.  Recency order is preserved: oldest first, so a loaded
-        store evicts in the same order the live one would have.
-        """
-        snapshot = self.snapshot_entries()
-        records: List[bytes] = []
-        for record in snapshot:
-            try:
-                records.append(pickle.dumps(record, protocol=pickle.HIGHEST_PROTOCOL))
-            except Exception:
-                continue
-        payload = {"version": 1, "records": records}
-        with open(path, "wb") as handle:
-            pickle.dump(payload, handle, protocol=pickle.HIGHEST_PROTOCOL)
-        return len(records)
-
-    @classmethod
-    def load(cls, path: str, budget_bytes: Optional[int] = DEFAULT_BUDGET_BYTES,
-             tenant_quota_bytes: Optional[object] = None,
-             max_entries: Optional[Dict[str, int]] = None) -> "CacheStore":
-        """Rebuild a store from a :meth:`save` snapshot.
-
-        Entries are re-inserted oldest-first under the *new* budgets, so a
-        snapshot taken under a larger budget is trimmed to the most
-        recently used entries that fit.  Corrupt individual records are
-        skipped.
-        """
-        with open(path, "rb") as handle:
-            payload = pickle.load(handle)
-        if not isinstance(payload, dict) or payload.get("version") != 1:
-            raise ValueError(f"unrecognised cache snapshot format in {path!r}")
-        store = cls(budget_bytes=budget_bytes, tenant_quota_bytes=tenant_quota_bytes,
-                    max_entries=max_entries)
-        for blob in payload["records"]:
-            try:
-                layer, key, tenant, nbytes, value = pickle.loads(blob)
-            except Exception:
-                continue
-            store.put(layer, key, value, tenant=tenant, nbytes=nbytes)
-        return store
 
     # --------------------------------------------------------------- internals
     def _tier_promote(self, layer: str, key: object) -> object:
@@ -594,47 +503,22 @@ class CacheStore:
                 if not self._evict_one_locked(tenant=inserted_tenant):
                     break
                 self.metrics.bump("quota_evictions")
-        # Per-layer entry caps (compatibility bound for private stores).
-        for layer, cap in self._max_entries.items():
-            while self._layer_counts.get(layer, 0) > cap:
-                if not self._evict_one_locked(layer=layer):
-                    break
         # Global byte budget last, across all layers and tenants.
         if self.budget_bytes is not None:
             while self._usage > self.budget_bytes and self._entries:
                 self._evict_one_locked()
 
-    def _evict_one_locked(self, tenant: Optional[str] = None,
-                          layer: Optional[str] = None) -> bool:
-        """Evict the least-recently-used entry (optionally of one tenant/layer).
+    def _evict_one_locked(self, tenant: Optional[str] = None) -> bool:
+        """Evict the least-recently-used entry (optionally of one tenant).
 
         Tenant-targeted eviction reads the head of the tenant's own recency
         index — O(1) per eviction, so a tenant blowing its quota pays
-        O(entries evicted), not O(store size) per evicted entry.  Layer-
-        targeted eviction (the compatibility entry caps of private session
-        stores) still scans.
+        O(entries evicted), not O(store size) per evicted entry.
         """
-        victim: Optional[Tuple[str, object]] = None
-        if tenant is not None:
-            tenant_lru = self._tenant_lru.get(tenant)
-            if tenant_lru:
-                if layer is None:
-                    victim = next(iter(tenant_lru))
-                else:
-                    for composite in tenant_lru:
-                        if composite[0] == layer:
-                            victim = composite
-                            break
-        elif layer is None:
-            if self._entries:
-                victim = next(iter(self._entries))
-        else:
-            for composite in self._entries:
-                if composite[0] == layer:
-                    victim = composite
-                    break
-        if victim is None:
+        order = self._entries if tenant is None else self._tenant_lru.get(tenant)
+        if not order:
             return False
+        victim = next(iter(order))
         entry = self._entries.pop(victim)
         self._account_removal_locked(victim, entry)
         self.metrics.bump("evictions")

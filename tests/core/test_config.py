@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.core import DEFAULT_SAMPLE_SIZE, FedexConfig, exact_config, sampling_config
@@ -42,6 +43,41 @@ class TestValidation:
         with pytest.raises(ExplanationError):
             FedexConfig(interestingness_weight=0.0, contribution_weight=0.0)
 
+    @pytest.mark.parametrize("fields", [
+        {"top_k_explanations": -1},
+        {"top_k_explanations": 0},
+        {"top_k_columns": 0},
+        {"top_k_columns": -1},
+        {"use_skyline": "no"},
+        {"top_k_explanations": "x"},
+        {"top_k_explanations": 1.5},
+        {"top_k_columns": "2"},
+        {"sample_size": True},
+        {"exclude_columns": 5},
+        {"seed": "abc", "sample_size": 500},
+        {"positive_contribution_only": 1},
+        {"seed": False},
+        {"interestingness_weight": True},
+        {"contribution_weight": "1"},
+        {"target_columns": "popularity"},
+        {"target_columns": ["popularity", 3]},
+        {"exclude_columns": "popularity"},
+        {"exclude_columns": None},
+    ], ids=repr)
+    def test_malformed_result_shaping_rejected(self, fields):
+        with pytest.raises(ExplanationError, match=next(iter(fields))):
+            FedexConfig(**fields)
+
+    def test_accepted_value_types(self):
+        config = FedexConfig(
+            sample_size=np.int64(500), seed=np.int64(3), top_k_columns=1,
+            top_k_explanations=None, interestingness_weight=2,
+            contribution_weight=np.float64(0.5), target_columns=["a"],
+            exclude_columns=("b",), use_skyline=False,
+            positive_contribution_only=False,
+        )
+        assert config.sample_size == 500 and config.seed == 3
+
 
 class TestConveniences:
     def test_with_sampling(self):
@@ -77,10 +113,6 @@ class TestConveniences:
     def test_with_backend_preserves_workers_when_omitted(self):
         config = FedexConfig(workers=8).with_backend("process")
         assert config.workers == 8
-
-    def test_cache_toggles_default_on(self):
-        config = FedexConfig()
-        assert config.cache_reports and config.cache_structures
 
     def test_shard_batch_defaults_to_automatic(self):
         assert FedexConfig().shard_batch is None

@@ -216,18 +216,25 @@ class TestLineageKeyedMemo:
         assert applies["threads"] == [threading.current_thread().name]
         assert step._output is not None
 
-    def test_one_report_lookup_per_request_on_hit_and_miss(self, spotify_small):
-        # Without structure caching the engine never touches the store, so
-        # every store lookup below is the report layer's.
-        svc = ExplanationService(config=FedexConfig(seed=0, cache_structures=False),
+    def test_one_report_lookup_per_request_on_hit_and_miss(self, spotify_small,
+                                                          monkeypatch):
+        svc = ExplanationService(config=FedexConfig(seed=0),
                                  service_config=ServiceConfig(workers=2))
         try:
             session = svc.session("alice")
+            report_gets = []
+            store_get = svc.store.get
+
+            def counting_get(layer, key, default=None):
+                if layer == "reports":
+                    report_gets.append(key)
+                return store_get(layer, key, default)
+
+            monkeypatch.setattr(svc.store, "get", counting_get)
 
             def lookups():
-                stats, store = session.stats, svc.store.metrics
-                return (stats.report_hits + stats.report_misses,
-                        store.hits + store.misses)
+                stats = session.stats
+                return (stats.report_hits + stats.report_misses, len(report_gets))
 
             for expected_hit in (False, True):
                 before = lookups()

@@ -169,14 +169,6 @@ class TestCacheStoreIntegration:
         assert store.put("scores", "q", "v")  # insert still succeeds
         assert store.get("scores", "q") == "v"
 
-    def test_publish_bulk_promotes_served_layers(self, tier):
-        store = CacheStore()
-        store.put("scores", "a", 1.0)
-        store.put("scores", "b", 2.0)
-        store.put("partitions", "c", "not-shared")
-        assert tier.publish(store) == 2
-        assert tier.entry_count() == 2
-
     def test_cross_store_report_reuse_end_to_end(self, tmp_path, spotify_small):
         """Two sessions over two stores sharing one tier: the second
         session's report comes from the tier, not recomputation."""

@@ -4,8 +4,10 @@ flushed."""
 
 from __future__ import annotations
 
+import asyncio
 import http.client
 import json
+import logging
 import threading
 import time
 import urllib.error
@@ -205,3 +207,37 @@ class TestDrain:
         with pytest.raises((urllib.error.URLError, ConnectionError, OSError)):
             urllib.request.urlopen(f"http://127.0.0.1:{port}/healthz",
                                    timeout=0.5)
+
+    def test_close_cancelling_a_closing_handler_logs_no_error(
+            self, spotify_small, monkeypatch, caplog):
+        """close() cancels a handler parked in ``writer.wait_closed()``.
+
+        The CancelledError must stay inside the handler; escaping it makes
+        Python 3.11's asyncio log an ERROR from StreamReaderProtocol.
+        """
+        parked = threading.Event()
+
+        async def parked_wait_closed(self):
+            parked.set()
+            await asyncio.sleep(3600)
+
+        monkeypatch.setattr(asyncio.StreamWriter, "wait_closed",
+                            parked_wait_closed)
+        service = ExplanationService(service_config=ServiceConfig(workers=1))
+        server = ExplanationServer(service,
+                                   frames={"spotify": spotify_small}).start()
+        try:
+            connection = http.client.HTTPConnection("127.0.0.1", server.port,
+                                                    timeout=30)
+            connection.request("GET", "/healthz",
+                               headers={"Connection": "close"})
+            assert connection.getresponse().status == 200
+            connection.close()
+            assert parked.wait(timeout=30)
+            with caplog.at_level(logging.ERROR, logger="asyncio"):
+                server.close()
+        finally:
+            server.close()
+            service.close()
+        assert [record for record in caplog.records
+                if record.name == "asyncio" and record.levelno >= logging.ERROR] == []

@@ -350,6 +350,16 @@ class TestExplain:
             body=_explain_body(config={"top_k_explanations": 1}))
         assert len(json.loads(body)["explanations"]) == 1
 
+    def test_malformed_config_override_is_400(self, served):
+        """Refused by FedexConfig, not a TypeError from inside the engine."""
+        server, service = served
+        status, _, body = _request(
+            server, "/explain",
+            body=_explain_body(config={"top_k_explanations": "x"}))
+        assert status == 400
+        assert "top_k_explanations" in json.loads(body)["error"]
+        assert service.stats("alice")["inflight"] == 0
+
     @pytest.mark.parametrize("token,expected", [
         (None, 401), ("wrong", 401)])
     def test_auth_failures_are_401(self, served, token, expected):

@@ -113,6 +113,24 @@ class TestRejectedRequests:
         self._refused(_body({"query": "SELECT * FROM spotify WHERE popularity > 65",
                              "config": {"sample_size": -3}}), resolver)
 
+    @pytest.mark.parametrize("overrides", [
+        {"top_k_explanations": -1},
+        {"top_k_explanations": 0},
+        {"top_k_columns": 0},
+        {"top_k_columns": -1},
+        {"use_skyline": "no"},
+        {"top_k_explanations": "x"},
+        {"top_k_explanations": 1.5},
+        {"top_k_columns": "2"},
+        {"sample_size": True},
+        {"exclude_columns": 5},
+        {"seed": "abc", "sample_size": 500},
+    ], ids=repr)
+    def test_malformed_override_values_refused(self, resolver, overrides):
+        """Each of these used to answer 200 with a changed answer or 500."""
+        self._refused(_body({"query": "SELECT * FROM spotify WHERE popularity > 65",
+                             "config": overrides}), resolver)
+
     def test_unknown_table_is_404(self, resolver):
         self._refused(_body({"query": "SELECT * FROM missing WHERE x > 1"}),
                       resolver, exc=UnknownDatasetError)

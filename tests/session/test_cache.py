@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from repro.core import FedexConfig, config_signature, step_signature
 from repro.dataframe import Column, Comparison, DataFrame
 from repro.operators import ExploratoryStep, Filter, GroupBy
-from repro.session import ExplanationSession, SessionCache
+from repro.session import CacheStore, ExplanationSession, SessionCache, measured_bytes
 
 
 # ----------------------------------------------------------------- fingerprints
@@ -220,23 +220,19 @@ class TestSessionCacheInvalidation:
         assert session.stats.report_hits == 0
         assert session.stats.report_misses == 2
 
-    def test_cache_reports_toggle_disables_memoization(self, spotify_small):
-        session = ExplanationSession(config=FedexConfig(cache_reports=False))
-        step = self._step(spotify_small)
-        first = session.explain(step)
-        second = session.explain(step)
-        assert second is not first
-        assert session.stats.report_hits == 0
-        assert session.stats.report_misses == 0
-
     def test_report_lru_eviction(self, spotify_small):
-        session = ExplanationSession(cache=SessionCache(max_reports=1))
         first_step = self._step(spotify_small)
         second_step = ExploratoryStep(
             [spotify_small], Filter(Comparison("popularity", ">", 70))
         )
+        sizes = sorted(measured_bytes(ExplanationSession().explain(step))
+                       for step in (first_step, second_step))
+        # Room for either report, not for both.
+        store = CacheStore(budget_bytes=sizes[1] + sizes[0] // 2)
+        session = ExplanationSession(store=store)
         session.explain(first_step)
         session.explain(second_step)  # evicts the first report
+        assert store.layer_count("reports") == 1
         session.explain(first_step)
         assert session.stats.report_hits == 0
         assert session.stats.report_misses == 3
@@ -293,10 +289,14 @@ class TestColumnAdoption:
         assert not np.array_equal(fresh.sorted_order(), order_after_mutation)
 
     def test_column_cap_evicts_oldest(self):
-        cache = SessionCache(max_columns=2)
-        for value in range(4):
-            cache.adopt_column(Column("x", np.asarray([float(value)])))
-        assert len(cache._columns) == 2
+        columns = [Column("x", np.full(1_000, float(value))) for value in range(4)]
+        size = measured_bytes(columns[0])
+        cache = SessionCache(store=CacheStore(budget_bytes=2 * size + size // 2))
+        for column in columns:
+            cache.adopt_column(column)
+        assert cache.store.layer_count("columns") == 2
+        assert [("columns", column.fingerprint()) in cache.store
+                for column in columns] == [False, False, True, True]
 
 
 class TestPartitionCache:
@@ -316,12 +316,16 @@ class TestPartitionCache:
         assert cache.stats.partition_misses == 1
 
     def test_partitions_and_structures_are_bounded(self):
-        cache = SessionCache(max_partitions=3, max_structures=2)
+        size = measured_bytes(np.zeros(1_000))
+        cache = SessionCache(store=CacheStore(budget_bytes=5 * size))
         for index in range(6):
-            cache.partitions((f"fp{index}",), list)
-            cache._structure((f"s{index}",), dict)
-        assert len(cache._partitions) == 3
-        assert len(cache._structures) == 2
+            cache.partitions((f"fp{index}",), lambda: np.zeros(1_000))
+            cache._structure((f"s{index}",), lambda: np.zeros(1_000))
+        # One LRU across both layers keeps the five newest entries.
+        assert cache.store.layer_count("partitions") == 2
+        assert cache.store.layer_count("structures") == 3
+        assert ("partitions", ("fp3",)) not in cache.store
+        assert ("structures", ("s3",)) in cache.store
 
 
 class TestRequestScopedFingerprints:

@@ -8,9 +8,12 @@ engines).
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import pytest
 
-from repro import ExplainableDataFrame, FedexExplainer
+from repro import ExplainableDataFrame, ExplanationService, FedexExplainer
 from repro.core import FedexConfig
 from repro.core.backends.process import PROCESS_STATS
 from repro.dataframe import Comparison
@@ -76,19 +79,29 @@ class TestSessionEquivalence:
         assert delta["shards_completed"] > 0
         assert delta["serial_retries"] == 0
 
-    def test_history_records_every_request(self, spotify_small):
-        session = ExplanationSession()
-        step = ExploratoryStep([spotify_small], Filter(Comparison("popularity", ">", 65)))
-        session.explain(step)
-        session.explain(step)
-        assert len(session.history) == 2
 
-    def test_history_is_bounded(self, spotify_small):
-        session = ExplanationSession(max_history=2)
-        step = ExploratoryStep([spotify_small], Filter(Comparison("popularity", ">", 65)))
-        for _ in range(5):
-            session.explain(step)
-        assert len(session.history) == 2
+class _WeakStep(ExploratoryStep):
+    """A plain subclass: the slotted ExploratoryStep takes no weakref."""
+
+
+class TestMemoryBound:
+    @pytest.mark.parametrize("route", ["session", "service"])
+    def test_explained_step_is_not_pinned(self, spotify_small, route):
+        """The store's byte budget is the only bound on what a session
+        keeps: no reference to an explained step outlives the request."""
+        step = _WeakStep([spotify_small], Filter(Comparison("popularity", ">", 65)))
+        alive = weakref.ref(step)
+        with ExplanationService() as service:
+            if route == "session":
+                session = ExplanationSession()
+                session.explain(step)
+            else:
+                session = service.session("alice")
+                service.explain("alice", step)
+            del step
+            gc.collect()
+            assert alive() is None
+            assert session.stats.report_misses == 1
 
 
 class TestSessionExplainable:
@@ -237,18 +250,6 @@ class TestScoreCache:
 
 
 class TestStructureToggle:
-    def test_cache_structures_false_keeps_engine_stateless(self, spotify_small):
-        session = ExplanationSession(
-            config=FedexConfig(cache_reports=False, cache_structures=False)
-        )
-        step = ExploratoryStep([spotify_small], Filter(Comparison("popularity", ">", 65)))
-        stateless = FedexExplainer(FedexConfig()).explain(step)
-        _assert_same_report(stateless, session.explain(step))
-        session.explain(step)
-        assert session.stats.partition_hits == 0
-        assert session.stats.partition_misses == 0
-        assert session.stats.columns_adopted == 0
-
     def test_shared_cache_across_sessions(self, spotify_small):
         cache = SessionCache()
         step = ExploratoryStep([spotify_small], Filter(Comparison("popularity", ">", 65)))

@@ -1,10 +1,9 @@
 """Tests of the shared byte-budgeted cache store.
 
-Four families: byte accounting/eviction (the budget is an invariant, not a
-hint), per-tenant quotas (one tenant cannot evict the world), persistence
-(a snapshot round-trip must produce warm hits), and thread-safety (many
-tenants hammering one store concurrently, checked against single-threaded
-results).
+Three families: byte accounting/eviction (the budget is an invariant, not
+a hint), per-tenant quotas (one tenant cannot evict the world), and
+thread-safety (many tenants hammering one store concurrently, checked
+against single-threaded results).
 """
 
 from __future__ import annotations
@@ -13,12 +12,12 @@ import threading
 import time
 
 import numpy as np
-import pytest
 
 from repro.core import FedexConfig, FedexExplainer
 from repro.dataframe import Column, Comparison
 from repro.operators import ExploratoryStep, Filter
 from repro.session import (
+    DEFAULT_BUDGET_BYTES,
     CacheStore,
     ExplanationSession,
     SessionCache,
@@ -216,65 +215,6 @@ class TestTenantRecencyIndex:
         assert indexed == derived
 
 
-# ---------------------------------------------------------------- persistence
-class TestPersistence:
-    def test_snapshot_round_trip(self, tmp_path):
-        store = CacheStore()
-        store.put("reports", ("k", 1), {"payload": np.arange(10)}, tenant="alice")
-        store.put("columns", "fp", Column("x", np.arange(5, dtype=float)))
-        path = str(tmp_path / "cache.snapshot")
-        assert store.save(path) == 2
-        loaded = CacheStore.load(path)
-        assert np.array_equal(loaded.get("reports", ("k", 1))["payload"], np.arange(10))
-        assert isinstance(loaded.get("columns", "fp"), Column)
-        assert loaded.tenant_usage("alice") > 0
-
-    def test_unpicklable_entries_skipped(self, tmp_path):
-        store = CacheStore()
-        store.put("reports", "good", "value")
-        store.put("structures", "bad", lambda: None)  # lambdas cannot pickle
-        path = str(tmp_path / "cache.snapshot")
-        assert store.save(path) == 1
-        loaded = CacheStore.load(path)
-        assert loaded.get("reports", "good") == "value"
-
-    def test_load_trims_to_new_budget_keeping_recent(self, tmp_path):
-        store = CacheStore(budget_bytes=1_000_000)
-        store.put("reports", "old", "v", nbytes=40_000)
-        store.put("reports", "new", "v", nbytes=40_000)
-        path = str(tmp_path / "cache.snapshot")
-        store.save(path)
-        loaded = CacheStore.load(path, budget_bytes=50_000)
-        assert loaded.get("reports", "new") == "v"
-        assert loaded.get("reports", "old") is None
-
-    def test_session_warm_hits_after_load(self, spotify_small, tmp_path):
-        """The acceptance contract: a loaded snapshot serves report hits."""
-        step = ExploratoryStep([spotify_small], Filter(Comparison("popularity", ">", 65)))
-        warm_store = CacheStore()
-        first = ExplanationSession(store=warm_store, tenant="alice")
-        report = first.explain(step)
-        path = str(tmp_path / "cache.snapshot")
-        assert warm_store.save(path) > 0
-
-        loaded = CacheStore.load(path)
-        revived = ExplanationSession(store=loaded, tenant="alice")
-        rebuilt_step = ExploratoryStep(
-            [spotify_small.copy()], Filter(Comparison("popularity", ">", 65))
-        )
-        served = revived.explain(rebuilt_step)
-        assert revived.stats.report_hits == 1
-        assert served.skyline_keys() == report.skyline_keys()
-
-    def test_corrupt_snapshot_rejected(self, tmp_path):
-        path = tmp_path / "cache.snapshot"
-        import pickle
-
-        path.write_bytes(pickle.dumps({"something": "else"}))
-        with pytest.raises(ValueError):
-            CacheStore.load(str(path))
-
-
 # ----------------------------------------------------------------- concurrency
 class TestConcurrentAccess:
     def test_multithreaded_tenants_hammering_one_store(self):
@@ -464,8 +404,16 @@ class TestSessionViewOverSharedStore:
         assert store.tenant_usage("alice") > 0
         assert store.tenant_usage("bob") == 0
 
-    def test_private_store_keeps_entry_caps(self):
-        cache = SessionCache(max_reports=2)
-        for index in range(4):
-            cache.store_report((index,), f"report-{index}")
-        assert cache.store.layer_count("reports") == 2
+    def test_private_store_is_byte_bounded(self):
+        cache = SessionCache()
+        store = cache.store
+        assert store.budget_bytes == DEFAULT_BUDGET_BYTES
+        cache.store_report(("oldest",), "report")
+        third = DEFAULT_BUDGET_BYTES // 3
+        for layer in ("partitions", "structures", "columns"):
+            store.put(layer, layer, "value", nbytes=third)
+        # The last put went over the budget: the least recently used entry,
+        # a report, made room for a column.
+        assert store.layer_count("reports") == 0
+        assert store.metrics.evictions == 1
+        assert store.usage_bytes == 3 * third
