@@ -9,6 +9,7 @@ weighted top-k cut).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from numbers import Integral, Real
 from typing import Optional, Sequence
@@ -157,6 +158,10 @@ class FedexConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, Real):
                 raise ExplanationError(f"{name} must be a real number, got {value!r}")
+            # NaN and inf compare false against the sign checks below, and
+            # json.loads turns a request's NaN/Infinity tokens into them.
+            if not math.isfinite(value):
+                raise ExplanationError(f"{name} must be finite, got {value!r}")
         if self.target_columns is not None and not _is_names(self.target_columns):
             raise ExplanationError(
                 "target_columns must be None or a list of column names, "

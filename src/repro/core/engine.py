@@ -36,8 +36,6 @@ from .config import FedexConfig
 from .contribution import ContributionCalculator
 from .explanation import Explanation, build_explanation
 from .interestingness import (
-    DiversityMeasure,
-    ExceptionalityMeasure,
     InterestingnessMeasure,
     MeasureRegistry,
     default_registry,
@@ -123,9 +121,11 @@ class FedexExplainer:
         built-in families (§3.8).
     context:
         Optional session cache (:class:`repro.session.SessionCache`, or any
-        object with the same ``adopt_step`` / ``partitions`` /
-        ``groupby_structure`` / ``row_sources`` hooks) that memoizes
-        cross-step intervention structure keyed by content fingerprints.
+        object with the same ``frame_fingerprint`` / ``partitions`` /
+        ``groupby_structure`` / ``row_sources`` / ``left_join_structure``
+        hooks) that memoizes cross-step row partitions and intervention
+        structure keyed by content fingerprints.  Phase-1 scores are
+        always computed, with or without one.
         ``None`` — the default — keeps the engine fully stateless across
         :meth:`explain` calls, exactly as before the session layer existed.
     """
@@ -179,11 +179,6 @@ class FedexExplainer:
         """The five phases of Algorithm 1 (under the request's trace root)."""
         timings: Dict[str, float] = {}
         chosen_measure = measure_for_step(step, self.registry, override=measure)
-        if self.context is not None:
-            # Seed the step's column-level caches (argsorts, factorizations)
-            # from structure harvested off content-identical columns of
-            # earlier steps, and register this step's columns for harvesting.
-            self.context.adopt_step(step)
 
         # Phase 1: interestingness of every applicable output column
         start = time.perf_counter()
@@ -307,40 +302,9 @@ class FedexExplainer:
         """
         chosen_measure = measure or measure_for_step(step, self.registry)
         columns = self._candidate_columns(step, chosen_measure)
-        context = self.context
-        if context is None or not hasattr(context, "score") or \
-                type(chosen_measure) not in (ExceptionalityMeasure, DiversityMeasure):
-            # No cache, or a custom measure whose identity cannot be captured
-            # by a content key: score directly.
-            scoring_inputs, scoring_output = self._scoring_materialisation(step)
-            return {
-                attribute: chosen_measure.score(scoring_inputs, step, scoring_output, attribute)
-                for attribute in columns
-            }
-        # Phase-1 scores depend only on the step's content, the measure, and
-        # the sampling configuration — not on top-k cuts, weights, or the
-        # contribution backend — so steps re-explained under a *different*
-        # engine configuration (where the full-report memo misses) still
-        # reuse every per-attribute score.  The scoring materialisation is
-        # built lazily: a fully warm request never samples or re-runs.
-        base_key = (
-            "phase1", chosen_measure.name,
-            step.operation.kind, step.operation.signature(),
-            tuple(context.frame_fingerprint(frame) for frame in step.inputs),
-            context.frame_fingerprint(step.output),
-            self.config.sample_size, self.config.seed,
-        )
-        materialisation: List[Tuple] = []
-
-        def scored(attribute: str) -> float:
-            if not materialisation:
-                materialisation.append(self._scoring_materialisation(step))
-            scoring_inputs, scoring_output = materialisation[0]
-            return chosen_measure.score(scoring_inputs, step, scoring_output, attribute)
-
+        scoring_inputs, scoring_output = self._scoring_materialisation(step)
         return {
-            attribute: context.score(base_key + (attribute,),
-                                     lambda attribute=attribute: scored(attribute))
+            attribute: chosen_measure.score(scoring_inputs, step, scoring_output, attribute)
             for attribute in columns
         }
 

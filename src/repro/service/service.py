@@ -98,8 +98,8 @@ class ExplanationService:
     store:
         An existing shared store — e.g. one built with ``tier=`` over a
         :class:`~repro.serving.SharedCacheTier`, so the service promotes
-        reports and scores that an earlier process wrote through to the
-        tier.  Built from ``service_config`` by default.
+        reports that an earlier process wrote through to the tier.  Built
+        from ``service_config`` by default.
     registry:
         Optional measure registry shared by every tenant session.  Note
         that a custom registry keys reports under a process-local

@@ -12,14 +12,15 @@ The stack, bottom-up:
   streaming of partial results, health, metrics, recent traces, and
   graceful drain.
 * :mod:`repro.serving.cache_tier` — the disk-backed shared cache segment
-  replicas promote :class:`~repro.session.store.CacheStore` entries into,
-  invalidated fleet-wide by manifest-version epoch keys.
+  replicas share memoized reports through (the ``reports`` layer of each
+  :class:`~repro.session.store.CacheStore`), invalidated fleet-wide by
+  manifest-version epoch keys.
 * :mod:`repro.serving.replicas` — N server processes over one
   :class:`~repro.storage.store.DatasetStore` and one shared tier.
 """
 
 from .auth import TokenAuthenticator
-from .cache_tier import DEFAULT_TIER_LAYERS, SharedCacheTier
+from .cache_tier import SharedCacheTier
 from .http import ExplanationServer
 from .protocol import (
     ALLOWED_CONFIG_OVERRIDES,
@@ -32,7 +33,6 @@ from .replicas import ReplicaFleet
 
 __all__ = [
     "ALLOWED_CONFIG_OVERRIDES",
-    "DEFAULT_TIER_LAYERS",
     "ExplainRequest",
     "ExplanationServer",
     "ReplicaFleet",

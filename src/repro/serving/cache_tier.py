@@ -3,10 +3,12 @@
 N replica processes over one :class:`~repro.storage.store.DatasetStore`
 share mmap pages for the *data*; this module shares the *computed* state:
 a disk-backed segment that every :class:`~repro.session.store.CacheStore`
-built with ``tier=`` writes its reports and scores through to, so an
-explanation computed by one replica is a file read (not a recomputation)
-for every other replica — and for a replica started later, which is how a
-restarted process comes up warm.
+built with ``tier=`` writes its reports through to, so an explanation
+computed by one replica is a file read (not a recomputation) for every
+other replica — and for a replica started later, which is how a restarted
+process comes up warm.  Only the ``reports`` layer is shared
+(:data:`SHARED_LAYER`); partitions and structures pin large index arrays
+that each replica rebuilds quickly from the shared mmap pages.
 
 Layout::
 
@@ -47,15 +49,13 @@ import tempfile
 import threading
 import time
 from pathlib import Path
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Tuple
 
-__all__ = ["SharedCacheTier", "DEFAULT_TIER_LAYERS"]
+__all__ = ["SharedCacheTier"]
 
-#: Layers promoted into the shared segment by default.  Reports and
-#: phase-1 scores are the expensive-to-recompute, cheap-to-ship artefacts;
-#: partitions/structures/columns pin large index arrays that the local
-#: stores rebuild quickly from the shared mmap pages anyway.
-DEFAULT_TIER_LAYERS = ("reports", "scores")
+#: The one store layer the tier shares: reports are the
+#: expensive-to-recompute, cheap-to-ship artefact.
+SHARED_LAYER = "reports"
 
 #: Entries larger than this are not shared (pickling and shipping them
 #: costs more than recomputing on the other replica).
@@ -71,13 +71,11 @@ class SharedCacheTier:
     """Disk-backed shared cache segment with manifest-version epoch keys."""
 
     def __init__(self, root: str | Path, dataset_store=None,
-                 layers: Sequence[str] = DEFAULT_TIER_LAYERS,
                  max_value_bytes: int = DEFAULT_MAX_VALUE_BYTES,
                  epoch_ttl_s: float = DEFAULT_EPOCH_TTL_S) -> None:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
         self.dataset_store = dataset_store
-        self.layers = tuple(layers)
         self.max_value_bytes = int(max_value_bytes)
         self.epoch_ttl_s = float(epoch_ttl_s)
         self._lock = threading.Lock()
@@ -129,7 +127,7 @@ class SharedCacheTier:
         The ``CacheStore`` L2 hook: called on every local miss, so the
         non-served-layer rejection must be the first (and cheapest) check.
         """
-        if layer not in self.layers:
+        if layer != SHARED_LAYER:
             return None
         path = self._entry_path(layer, key)
         if path is None:
@@ -154,7 +152,7 @@ class SharedCacheTier:
         entries already present (first writer wins — the values are
         deterministic recomputations of each other anyway).
         """
-        if layer not in self.layers:
+        if layer != SHARED_LAYER:
             return False
         if nbytes is not None and nbytes > self.max_value_bytes:
             with self._lock:
@@ -230,4 +228,4 @@ class SharedCacheTier:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"SharedCacheTier(root={str(self.root)!r}, "
-                f"layers={self.layers}, entries={self.entry_count()})")
+                f"entries={self.entry_count()})")

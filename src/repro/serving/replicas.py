@@ -7,10 +7,11 @@ processes that share:
   :class:`~repro.storage.store.DatasetStore`, so the OS page cache holds
   one physical copy of each dataset's columns however many replicas map
   them; and
-* **the computed state** — every replica's
-  :class:`~repro.session.store.CacheStore` is wired to one
-  :class:`~repro.serving.cache_tier.SharedCacheTier` segment, so a report
-  computed by any replica is a file read for all of them.  Tier entries
+* **the computed reports** — every replica's
+  :class:`~repro.session.store.CacheStore` writes its ``reports`` layer
+  through to one :class:`~repro.serving.cache_tier.SharedCacheTier`
+  segment, so a report computed by any replica is a file read for all of
+  them; partitions and structures stay per replica.  Tier entries
   are keyed under manifest-version epochs: rewriting a dataset in the
   store invalidates the whole fleet's shared entries without any
   cross-process coordination channel.
@@ -46,8 +47,7 @@ DEFAULT_START_TIMEOUT_S = 60.0
 def _replica_main(conn, store_root: str, tier_root: str,
                   tokens: Optional[Dict[str, str]], host: str,
                   service_config: Optional[dict],
-                  fedex_config: Optional[dict],
-                  tier_layers: Optional[tuple]) -> None:
+                  fedex_config: Optional[dict]) -> None:
     """Entry point of one replica process (module-level: spawn-safe)."""
     # Imports happen in the child so a spawn start method pays them once
     # per replica, not once per pickled closure.
@@ -56,7 +56,7 @@ def _replica_main(conn, store_root: str, tier_root: str,
     from ..session.store import CacheStore
     from ..storage.store import DatasetStore
     from .auth import TokenAuthenticator
-    from .cache_tier import DEFAULT_TIER_LAYERS, SharedCacheTier
+    from .cache_tier import SharedCacheTier
     from .http import ExplanationServer
 
     server = None
@@ -64,8 +64,7 @@ def _replica_main(conn, store_root: str, tier_root: str,
     dataset_store = None
     try:
         dataset_store = DatasetStore(store_root)
-        tier = SharedCacheTier(tier_root, dataset_store=dataset_store,
-                               layers=tier_layers or DEFAULT_TIER_LAYERS)
+        tier = SharedCacheTier(tier_root, dataset_store=dataset_store)
         svc_config = ServiceConfig(**(service_config or {}))
         store = CacheStore(
             budget_bytes=svc_config.cache_budget_bytes,
@@ -102,7 +101,7 @@ def _replica_main(conn, store_root: str, tier_root: str,
 
 
 class ReplicaFleet:
-    """N serving processes over one dataset store and one shared cache tier."""
+    """N serving processes over one dataset store and one shared report tier."""
 
     def __init__(self, store_root: str, tier_root: str, *,
                  replicas: int = 2,
@@ -110,7 +109,6 @@ class ReplicaFleet:
                  host: str = "127.0.0.1",
                  service_config: Optional[dict] = None,
                  fedex_config: Optional[dict] = None,
-                 tier_layers: Optional[tuple] = None,
                  start_timeout_s: float = DEFAULT_START_TIMEOUT_S) -> None:
         if replicas < 1:
             raise ValueError(f"a fleet needs at least one replica, got {replicas}")
@@ -121,7 +119,6 @@ class ReplicaFleet:
         self.host = host
         self.service_config = dict(service_config) if service_config else None
         self.fedex_config = dict(fedex_config) if fedex_config else None
-        self.tier_layers = tuple(tier_layers) if tier_layers else None
         self.start_timeout_s = float(start_timeout_s)
         self._processes: List[multiprocessing.Process] = []
         self._pipes: List = []
@@ -140,7 +137,7 @@ class ReplicaFleet:
                     target=_replica_main,
                     args=(child_conn, self.store_root, self.tier_root,
                           self.tokens, self.host, self.service_config,
-                          self.fedex_config, self.tier_layers),
+                          self.fedex_config),
                     name=f"repro-replica-{index}",
                     daemon=True,
                 )

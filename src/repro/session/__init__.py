@@ -6,7 +6,7 @@ stateless.  This subsystem adds the session layer on top:
 * :class:`ExplanationSession` — the stateful façade serving explanation
   requests for one exploration session (one notebook, one user);
 * :class:`CacheStore` — the shared, thread-safe, byte-budgeted LRU store
-  holding the entries (reports, scores, partitions, structure, columns)
+  holding the entries of three layers (reports, partitions, structures)
   with per-tenant quotas and in-flight request coalescing.  Its byte
   budget is the only bound on what a session keeps, and a store built
   with ``tier=`` is the only way cached state outlives the process;

@@ -3,9 +3,9 @@
 A notebook exploration session revisits the same data over and over: a
 filter is refined three times over the same dataframe, a group-by is
 re-aggregated with a different function, a cell is simply re-run.  The
-stateless engine rebuilds column argsorts, factorizations, row partitions,
-and group structure from scratch every time.  :class:`SessionCache` owns all
-of that cross-step state, keyed by **content fingerprints**
+stateless engine rebuilds row partitions and group structure from scratch
+every time.  :class:`SessionCache` owns that cross-step state, keyed by
+**content fingerprints**
 (:meth:`repro.dataframe.column.Column.fingerprint`), so any step touching
 content-identical data reuses the intervention structure of earlier steps —
 regardless of whether the dataframe objects are literally the same.
@@ -19,24 +19,22 @@ so concurrent workers serving one tenant never share a memo).  A view built
 without a store gets a private ``CacheStore()`` with the default byte
 budget, which bounds every layer together.
 
-Five layers, from coarse to fine:
+Three layers, from coarse to fine:
 
-* **full reports** — ``(step signature, config signature, measure)`` →
-  :class:`~repro.core.engine.ExplanationReport`; re-explaining an
-  already-seen step is a dictionary lookup;
-* **interestingness scores** — phase-1 per-attribute scores keyed by step
-  content + scoring config, reused across *different* engine
-  configurations of the same step;
-* **row partitions** — ``(frame fingerprint, partition config)`` → built
-  :class:`~repro.core.partition.RowPartition` lists; two different filters
-  over the same input share every partition;
-* **operation structure** — per-group row assignment of group-by steps,
-  row-level provenance of sliceable steps, and left-join match structure,
-  keyed by input fingerprints plus the operation's declarative description;
-* **column structure** — cached argsorts / factorizations are *adopted*
-  across content-identical :class:`Column` objects, so the ``O(n log n)``
-  sort behind every KS re-scoring is paid once per content, not once per
-  step.
+* **full reports** (``"reports"``) — ``(step signature, config signature,
+  measure)`` → :class:`~repro.core.engine.ExplanationReport`;
+  re-explaining an already-seen step is a dictionary lookup;
+* **row partitions** (``"partitions"``) — ``(frame fingerprint, partition
+  config)`` → built :class:`~repro.core.partition.RowPartition` lists; two
+  different filters over the same input share every partition;
+* **operation structure** (``"structures"``) — per-group row assignment of
+  group-by steps, row-level provenance of sliceable steps, and left-join
+  match structure, keyed by input fingerprints plus the operation's
+  declarative description.
+
+Column argsorts and factorizations are not a layer: each
+:class:`~repro.dataframe.column.Column` caches its own, so a step over the
+same frame object (a stored frame included) reuses them.
 
 Every key embeds content fingerprints that are recomputed from the raw
 values on each request, so mutated data changes the fingerprint and the
@@ -52,7 +50,7 @@ from __future__ import annotations
 
 import threading
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..core.engine import ExplanationReport
@@ -69,30 +67,21 @@ class SessionCacheStats:
 
     report_hits: int = 0
     report_misses: int = 0
-    score_hits: int = 0
-    score_misses: int = 0
     partition_hits: int = 0
     partition_misses: int = 0
     structure_hits: int = 0
     structure_misses: int = 0
-    column_structure_hits: int = 0
-    columns_adopted: int = 0
 
     def as_dict(self) -> Dict[str, int]:
         """The counters as a plain dictionary (for logging/rendering)."""
-        return {name: getattr(self, name) for name in (
-            "report_hits", "report_misses", "score_hits", "score_misses",
-            "partition_hits", "partition_misses",
-            "structure_hits", "structure_misses", "column_structure_hits",
-            "columns_adopted",
-        )}
+        return asdict(self)
 
 
 class SessionCache:
     """One session's view over a (possibly shared) explanation cache store.
 
     The cache doubles as the engine's *context* object: it implements the
-    ``adopt_step`` / ``partitions`` / ``score`` / ``groupby_structure`` /
+    ``frame_fingerprint`` / ``partitions`` / ``groupby_structure`` /
     ``row_sources`` / ``left_join_structure`` hooks that
     :class:`~repro.core.engine.FedexExplainer` and the incremental backend
     consult when one is injected.
@@ -133,10 +122,10 @@ class SessionCache:
         """Scope one explanation request: fingerprints are hashed at most once.
 
         A single cold explain needs the same frame/column fingerprints in
-        several places (step signature, column adoption, partition keys,
-        structure keys); inside a ``request()`` scope those are computed once
-        per object and reused.  The memo dies with the scope, so the next
-        request re-hashes and in-place mutations are still detected.
+        several places (step signature, partition keys, structure keys);
+        inside a ``request()`` scope those are computed once per object and
+        reused.  The memo dies with the scope, so the next request re-hashes
+        and in-place mutations are still detected.
         """
         local = self._local
         outer = (getattr(local, "columns", None), getattr(local, "frames", None))
@@ -171,19 +160,6 @@ class SessionCache:
         return entry[1]
 
     # ------------------------------------------------------------ full reports
-    def get_report(self, key: Tuple) -> Optional[ExplanationReport]:
-        """The memoized report for a (step, config, measure) signature, if any."""
-        report = self.store.get("reports", key)
-        if report is None:
-            self.stats.report_misses += 1
-            return None
-        self.stats.report_hits += 1
-        return report
-
-    def store_report(self, key: Tuple, report: ExplanationReport) -> None:
-        """Memoize a full report (byte-budget eviction owned by the store)."""
-        self.store.put("reports", key, report, tenant=self.tenant)
-
     def report_singleflight(self, key: Tuple,
                             build: Callable[[], ExplanationReport]) -> ExplanationReport:
         """Memoized report with in-flight coalescing of concurrent misses.
@@ -223,11 +199,6 @@ class SessionCache:
         built = build()
         self.store.put(layer, key, built, tenant=self.tenant)
         return built
-
-    # ------------------------------------------------------------------ scores
-    def score(self, key: Tuple, build: Callable[[], float]) -> float:
-        """A phase-1 interestingness score, memoized by content key."""
-        return self._read_through("scores", "score", key, build)
 
     # -------------------------------------------------------------- partitions
     def partitions(self, key: Tuple,
@@ -281,51 +252,18 @@ class SessionCache:
     def _structure(self, key: Tuple, build: Callable[[], object]) -> object:
         return self._read_through("structures", "structure", key, build)
 
-    # --------------------------------------------------------- column adoption
     def adopt_step(self, step: ExploratoryStep) -> None:
-        """Adopt every column of the step's inputs and output."""
-        for frame in list(step.inputs) + [step.output]:
-            self.adopt_frame(frame)
+        """A no-op that nothing in the library calls.
 
-    def adopt_frame(self, frame: DataFrame) -> None:
-        """Adopt every column of one dataframe."""
-        for column in frame.columns():
-            self.adopt_column(column)
-
-    def adopt_column(self, column: Column) -> Column:
-        """Share cached argsort/factorization across content-identical columns.
-
-        The newest adopted column becomes the canonical holder of its
-        fingerprint: it inherits whatever structure the previous canonical
-        column already computed, and — being the object the engine is about
-        to work on — it accumulates any structure computed during the coming
-        explain call, ready for the *next* adoption of the same content.
-
-        Because the canonical column computes its structure lazily *after*
-        its fingerprint was recorded, its backing array could have been
-        mutated in between; the canonical's fingerprint is therefore
-        re-verified before any structure is shared, so a stale canonical is
-        dropped rather than poisoning a fresh content-identical column.
+        It exists because the HTTP benchmark's ledger
+        (``perfbench/pb_ledger.py``) wraps it by name, and that benchmark
+        stays unchanged so that its runs compare across commits.
         """
-        fingerprint = self.column_fingerprint(column)
-        previous = self.store.get("columns", fingerprint)
-        if previous is not None and previous is not column:
-            if self.column_fingerprint(previous) != fingerprint:
-                previous = None  # canonical mutated since adoption: treat as new content
-        if previous is not None and previous is not column:
-            if column._sorted_order is None and previous._sorted_order is not None:
-                column._sorted_order = previous._sorted_order
-                self.stats.column_structure_hits += 1
-            if column._factorized is None and previous._factorized is not None:
-                column._factorized = previous._factorized
-                self.stats.column_structure_hits += 1
-        self.stats.columns_adopted += 1
-        self.store.put("columns", fingerprint, column, tenant=self.tenant)
-        return column
 
     # ------------------------------------------------------------ housekeeping
     def clear(self) -> None:
-        """Drop every cached entry and reset the counters.
+        """Drop every cached entry (reports, partitions, structures) and
+        reset the counters.
 
         Clears the *store* — when the store is shared this clears it for
         every view, which is what an operator flushing a poisoned cache
@@ -342,7 +280,5 @@ class SessionCache:
         store = self.store
         return (f"SessionCache(tenant={self.tenant!r}, "
                 f"reports={store.layer_count('reports')}, "
-                f"scores={store.layer_count('scores')}, "
                 f"partitions={store.layer_count('partitions')}, "
-                f"structures={store.layer_count('structures')}, "
-                f"columns={store.layer_count('columns')})")
+                f"structures={store.layer_count('structures')})")

@@ -9,8 +9,8 @@ requests against overlapping data.
 The session owns everything that outlives a single ``explain()`` call:
 
 * a :class:`~repro.session.cache.SessionCache` holding full-report memos,
-  row partitions, operation structure, and adopted column
-  argsorts/factorizations — all keyed by content fingerprints;
+  row partitions and operation structure — all keyed by content
+  fingerprints;
 * one :class:`~repro.core.engine.FedexExplainer` per distinct configuration
   (constructed once, reused across requests) with the cache injected as its
   context;
@@ -155,8 +155,9 @@ class ExplanationSession:
         — same report, same scores — but warm requests reuse cross-step
         state: a step already explained under the same configuration (by
         content, not object identity) returns its memoized report, and a
-        merely *overlapping* step reuses partitions, operation structure,
-        and column argsorts of its predecessors.
+        merely *overlapping* step reuses the partitions and operation
+        structure of its predecessors.  A configuration change misses the
+        report memo and recomputes phase 1.
 
         ``progress`` is forwarded to the engine for partial-result events;
         a memoized report (and a coalesced follower of someone else's
@@ -165,7 +166,7 @@ class ExplanationSession:
         """
         effective = config or self.config
         # One request scope: every fingerprint needed below (step signature,
-        # column adoption, partition/structure keys) is hashed at most once.
+        # partition/structure keys) is hashed at most once.
         with self.cache.request():
             key = (prepared.key if prepared is not None
                    else self._report_key(step, measure, effective))
@@ -195,7 +196,7 @@ class ExplanationSession:
         return self.cache.stats
 
     def clear(self) -> None:
-        """Drop all cached state (reports, partitions, structure, columns)."""
+        """Drop all cached state (reports, partitions, structures)."""
         self.cache.clear()
         self._explainers.clear()
 

@@ -1,9 +1,8 @@
 """The shared, byte-budgeted explanation cache store.
 
 :class:`CacheStore` is the multi-tenant heart of the serving architecture:
-one process-wide store of memoized explanation state — full reports,
-phase-1 interestingness scores, row partitions, operation structure,
-canonical columns — shared by every
+one process-wide store of memoized explanation state — full reports, row
+partitions and operation structure — shared by every
 :class:`~repro.session.cache.SessionCache` view (and thus every tenant) of
 an :class:`~repro.service.ExplanationService`.
 
@@ -72,7 +71,7 @@ def measured_bytes(value: object) -> int:
     An iterative graph walk (cycle-safe via an ``id`` set) that prices
     NumPy arrays at their buffer size — the dominant cost of every cached
     artefact (reports pin row-set index arrays, partitions pin row
-    indices, columns pin values plus cached argsorts) — and everything
+    indices) — and everything
     else at ``sys.getsizeof``.  Shared sub-objects are counted once per
     call, so the result is the marginal footprint of pinning the value.
 

@@ -63,6 +63,10 @@ class TestValidation:
         {"target_columns": ["popularity", 3]},
         {"exclude_columns": "popularity"},
         {"exclude_columns": None},
+        {"interestingness_weight": float("nan")},
+        {"contribution_weight": float("nan")},
+        {"interestingness_weight": float("inf")},
+        {"interestingness_weight": float("inf"), "contribution_weight": float("inf")},
     ], ids=repr)
     def test_malformed_result_shaping_rejected(self, fields):
         with pytest.raises(ExplanationError, match=next(iter(fields))):

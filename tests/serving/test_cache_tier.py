@@ -14,7 +14,7 @@ from repro.session import CacheStore
 
 @pytest.fixture
 def tier(tmp_path):
-    return SharedCacheTier(tmp_path / "tier", layers=("reports", "scores"))
+    return SharedCacheTier(tmp_path / "tier")
 
 
 class TestEntries:
@@ -30,8 +30,10 @@ class TestEntries:
         assert tier.lookup("reports", "never-offered") is None
 
     def test_non_served_layers_rejected_cheaply(self, tier):
-        assert not tier.offer("partitions", "k", "v")
-        assert tier.lookup("partitions", "k") is None
+        """The tier shares reports only; "scores" was a served layer once."""
+        for layer in ("partitions", "structures", "scores"):
+            assert not tier.offer(layer, "k", "v")
+            assert tier.lookup(layer, "k") is None
         assert tier.entry_count() == 0
 
     def test_first_writer_wins(self, tier):
@@ -129,29 +131,29 @@ class TestEpochs:
 class TestCacheStoreIntegration:
     def test_local_miss_promotes_from_tier(self, tier):
         writer = CacheStore(tier=tier)
-        writer.put("scores", "q1", {"score": 0.9}, tenant="alice")
+        writer.put("reports", "q1", {"score": 0.9}, tenant="alice")
         assert tier.entry_count() == 1
 
         reader = CacheStore(tier=tier)  # a different replica's store
-        assert reader.get("scores", "q1") == {"score": 0.9}
+        assert reader.get("reports", "q1") == {"score": 0.9}
         assert reader.metrics.as_dict()["tier_hits"] == 1
         # Promoted entries live under the shared pseudo-tenant locally...
         assert reader.tenant_usage(CacheStore.SHARED_TENANT) > 0
         # ...and are served from local memory (no tier read) from then on.
         hits_before = tier.stats["hits"]
-        assert reader.get("scores", "q1") == {"score": 0.9}
+        assert reader.get("reports", "q1") == {"score": 0.9}
         assert tier.stats["hits"] == hits_before
 
     def test_tier_miss_counted_once_per_lookup(self, tier):
         store = CacheStore(tier=tier)
-        assert store.get("scores", "absent") is None
+        assert store.get("reports", "absent") is None
         assert store.metrics.as_dict()["tier_misses"] == 1
 
     def test_promoted_entries_are_not_reoffered(self, tier):
         writer = CacheStore(tier=tier)
-        writer.put("scores", "q1", "value")
+        writer.put("reports", "q1", "value")
         reader = CacheStore(tier=tier)
-        reader.get("scores", "q1")
+        reader.get("reports", "q1")
         # The promotion inserted locally under the shared tenant; a
         # re-offer would be a wasted disk write (first writer already won).
         assert reader.metrics.as_dict()["tier_offers"] == 0
@@ -165,9 +167,9 @@ class TestCacheStoreIntegration:
                 raise OSError("disk gone")
 
         store = CacheStore(tier=ExplodingTier())
-        assert store.get("scores", "q") is None
-        assert store.put("scores", "q", "v")  # insert still succeeds
-        assert store.get("scores", "q") == "v"
+        assert store.get("reports", "q") is None
+        assert store.put("reports", "q", "v")  # insert still succeeds
+        assert store.get("reports", "q") == "v"
 
     def test_cross_store_report_reuse_end_to_end(self, tmp_path, spotify_small):
         """Two sessions over two stores sharing one tier: the second

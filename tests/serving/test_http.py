@@ -360,6 +360,15 @@ class TestExplain:
         assert "top_k_explanations" in json.loads(body)["error"]
         assert service.stats("alice")["inflight"] == 0
 
+    def test_non_finite_weight_override_is_400(self, served):
+        """json.loads reads the NaN token as a float; it must not answer 200."""
+        server, _ = served
+        body = ('{"query": "%s", "config": {"interestingness_weight": NaN}}'
+                % QUERY).encode("utf-8")
+        status, _, answer = _request(server, "/explain", body=body)
+        assert status == 400
+        assert "interestingness_weight" in json.loads(answer)["error"]
+
     @pytest.mark.parametrize("token,expected", [
         (None, 401), ("wrong", 401)])
     def test_auth_failures_are_401(self, served, token, expected):

@@ -125,6 +125,10 @@ class TestRejectedRequests:
         {"sample_size": True},
         {"exclude_columns": 5},
         {"seed": "abc", "sample_size": 500},
+        {"interestingness_weight": float("nan")},
+        {"contribution_weight": float("nan")},
+        {"interestingness_weight": float("inf")},
+        {"interestingness_weight": float("inf"), "contribution_weight": float("inf")},
     ], ids=repr)
     def test_malformed_override_values_refused(self, resolver, overrides):
         """Each of these used to answer 200 with a changed answer or 500."""

@@ -247,58 +247,6 @@ class TestSessionCacheInvalidation:
         assert session.stats.report_misses == 1
 
 
-class TestColumnAdoption:
-    def test_adoption_shares_sorted_order(self):
-        cache = SessionCache()
-        first = Column("x", np.asarray([3.0, 1.0, 2.0]))
-        cache.adopt_column(first)
-        order = first.sorted_order()
-        second = Column("x", np.asarray([3.0, 1.0, 2.0]))
-        cache.adopt_column(second)
-        assert second._sorted_order is order
-        assert cache.stats.column_structure_hits == 1
-
-    def test_adoption_shares_factorization(self):
-        cache = SessionCache()
-        first = Column("c", np.asarray(["b", "a", "b"], dtype=object))
-        cache.adopt_column(first)
-        factorized = first.factorize()
-        second = Column("c", np.asarray(["b", "a", "b"], dtype=object))
-        cache.adopt_column(second)
-        assert second._factorized is factorized
-
-    def test_different_content_not_shared(self):
-        cache = SessionCache()
-        first = Column("x", np.asarray([3.0, 1.0, 2.0]))
-        cache.adopt_column(first)
-        first.sorted_order()
-        second = Column("x", np.asarray([2.0, 1.0, 3.0]))
-        cache.adopt_column(second)
-        assert second._sorted_order is None
-
-    def test_mutated_canonical_never_poisons_fresh_column(self):
-        """Structure computed after an in-place mutation must not be shared."""
-        cache = SessionCache()
-        canonical = Column("x", np.asarray([3.0, 1.0, 2.0]))
-        cache.adopt_column(canonical)
-        canonical.values[:] = [9.0, 8.0, 7.0]
-        order_after_mutation = canonical.sorted_order()
-        fresh = Column("x", np.asarray([3.0, 1.0, 2.0]))
-        cache.adopt_column(fresh)
-        assert fresh._sorted_order is None  # stale canonical detected and dropped
-        assert not np.array_equal(fresh.sorted_order(), order_after_mutation)
-
-    def test_column_cap_evicts_oldest(self):
-        columns = [Column("x", np.full(1_000, float(value))) for value in range(4)]
-        size = measured_bytes(columns[0])
-        cache = SessionCache(store=CacheStore(budget_bytes=2 * size + size // 2))
-        for column in columns:
-            cache.adopt_column(column)
-        assert cache.store.layer_count("columns") == 2
-        assert [("columns", column.fingerprint()) in cache.store
-                for column in columns] == [False, False, True, True]
-
-
 class TestPartitionCache:
     def test_partitions_memoized_by_key(self, tiny_frame):
         cache = SessionCache()

@@ -13,13 +13,15 @@ import weakref
 
 import pytest
 
-from repro import ExplainableDataFrame, ExplanationService, FedexExplainer
+from repro import DatasetStore, ExplainableDataFrame, ExplanationService, FedexExplainer
 from repro.core import FedexConfig
 from repro.core.backends.process import PROCESS_STATS
 from repro.dataframe import Comparison
+from repro.dataframe.column import FINGERPRINT_STATS
 from repro.errors import ExplanationError
 from repro.operators import ExploratoryStep, Filter, GroupBy
-from repro.session import ExplanationSession, SessionCache
+from repro.serving import dump_json, report_document
+from repro.session import CacheStore, ExplanationSession, SessionCache
 
 
 def _assert_same_report(first, second, tol=0.0):
@@ -35,6 +37,13 @@ def _assert_same_report(first, second, tol=0.0):
         raw_s, std_s = second_scores[key]
         assert raw == pytest.approx(raw_s, abs=tol)
         assert std == pytest.approx(std_s, abs=tol)
+
+
+def _document(report) -> bytes:
+    """The report's canonical JSON without its timings."""
+    document = report_document(report)
+    del document["timings"]
+    return dump_json(document)
 
 
 class TestSessionEquivalence:
@@ -55,6 +64,20 @@ class TestSessionEquivalence:
             stateless = FedexExplainer(FedexConfig()).explain(step)
             _assert_same_report(stateless, session.explain(step))
         assert session.stats.partition_hits > 0
+
+    def test_config_override_matches_stateless_engine(self, spotify_small):
+        """A config change misses the report memo and recomputes phase 1;
+        every report equals the stateless engine's under its config."""
+        session = ExplanationSession()
+        step = ExploratoryStep([spotify_small], Filter(Comparison("popularity", ">", 65)))
+        configs = (FedexConfig(), FedexConfig(top_k_explanations=1),
+                   FedexConfig(target_columns=["popularity", "loudness"]))
+        for config in configs:
+            report = session.explain(step, config=config)
+            stateless = FedexExplainer(config).explain(step)
+            assert _document(report) == _document(stateless)
+            _assert_same_report(stateless, report)
+        assert session.stats.report_misses == len(configs)
 
     def test_groupby_structure_reused_across_aggregations(self, spotify_small):
         """Re-aggregating the same grouping reuses the per-group row assignment."""
@@ -102,6 +125,37 @@ class TestMemoryBound:
             gc.collect()
             assert alive() is None
             assert session.stats.report_misses == 1
+
+
+class TestCacheLayers:
+    @pytest.mark.parametrize("route", ["session", "service"])
+    def test_derived_step_over_stored_frame(self, spotify_small, tmp_path,
+                                            monkeypatch, route):
+        """A cold derived explain over a stored frame hashes no column and
+        puts only into the three cache layers."""
+        datasets = DatasetStore(tmp_path / "data")
+        datasets.put("spotify", spotify_small)
+        step = ExploratoryStep([datasets.open("spotify")],
+                               Filter(Comparison("popularity", ">", 65)))
+        layers = set()
+        put = CacheStore.put
+
+        def recording_put(store, layer, *args, **kwargs):
+            layers.add(layer)
+            return put(store, layer, *args, **kwargs)
+
+        monkeypatch.setattr(CacheStore, "put", recording_put)
+        before = FINGERPRINT_STATS.snapshot()
+        try:
+            if route == "session":
+                ExplanationSession().explain(step)
+            else:
+                with ExplanationService() as service:
+                    service.explain("alice", step)
+        finally:
+            datasets.close()
+        assert FINGERPRINT_STATS.delta(before)["full_hashes"] == 0
+        assert layers == {"reports", "partitions", "structures"}
 
 
 class TestSessionExplainable:
@@ -178,75 +232,6 @@ class TestLossyDescriptions:
             ))
             stateless = FedexExplainer(FedexConfig()).explain(step)
             _assert_same_report(stateless, session.explain(step))
-
-
-class TestScoreCache:
-    """Phase-1 interestingness scores are memoized by content, not by config."""
-
-    def test_scores_reused_across_different_configs(self, spotify_small):
-        """A config change misses the report memo but hits the score cache."""
-        session = ExplanationSession()
-        step = ExploratoryStep([spotify_small], Filter(Comparison("popularity", ">", 65)))
-        session.explain(step)
-        assert session.stats.score_misses > 0
-        misses_after_cold = session.stats.score_misses
-        report = session.explain(step, config=FedexConfig(top_k_explanations=1))
-        assert session.stats.report_hits == 0  # different config signature
-        assert session.stats.score_hits > 0
-        assert session.stats.score_misses == misses_after_cold
-        stateless = FedexExplainer(FedexConfig(top_k_explanations=1)).explain(step)
-        assert report.interestingness_scores == stateless.interestingness_scores
-        _assert_same_report(stateless, report)
-
-    def test_scores_keyed_by_measure(self, spotify_small):
-        session = ExplanationSession()
-        step = ExploratoryStep([spotify_small], GroupBy("decade", {"loudness": ["mean"]}))
-        session.explain(step)
-        misses = session.stats.score_misses
-        session.explain(step, measure="exceptionality")
-        assert session.stats.score_misses > misses  # different measure, new keys
-
-    def test_mutated_frame_misses_score_cache(self, spotify_small):
-        session = ExplanationSession()
-        mutable = spotify_small.copy()
-        step = ExploratoryStep([mutable], Filter(Comparison("popularity", ">", 65)))
-        session.explain(step)
-        misses = session.stats.score_misses
-        mutable["loudness"].values[0] += 1.0
-        session.explain(ExploratoryStep([mutable], Filter(Comparison("popularity", ">", 65))),
-                        config=FedexConfig(top_k_explanations=1))
-        assert session.stats.score_hits == 0
-        assert session.stats.score_misses > misses
-
-    def test_sampling_config_participates_in_the_key(self, spotify_small):
-        session = ExplanationSession()
-        step = ExploratoryStep([spotify_small], Filter(Comparison("popularity", ">", 65)))
-        session.explain(step, config=FedexConfig(sample_size=1_000, seed=1))
-        misses = session.stats.score_misses
-        session.explain(step, config=FedexConfig(sample_size=1_000, seed=2))
-        assert session.stats.score_hits == 0  # different seed -> different sample
-        assert session.stats.score_misses > misses
-
-    def test_custom_measures_never_score_cached(self, spotify_small):
-        """A FunctionMeasure's identity is not content-addressable; skip caching."""
-        from repro.core import FunctionMeasure, default_registry
-
-        registry = default_registry()
-        registry.register(FunctionMeasure("constant", lambda i, s, o, a: 1.0))
-        session = ExplanationSession(registry=registry)
-        step = ExploratoryStep([spotify_small], Filter(Comparison("popularity", ">", 65)))
-        session.explain(step, measure="constant")
-        assert session.stats.score_misses == 0
-        assert session.stats.score_hits == 0
-
-    def test_overlapping_target_columns_share_scores(self, spotify_small):
-        """Per-attribute keys: a narrowed column set reuses the overlap."""
-        session = ExplanationSession()
-        step = ExploratoryStep([spotify_small], Filter(Comparison("popularity", ">", 65)))
-        session.explain(step, config=FedexConfig(target_columns=["popularity", "loudness"]))
-        hits = session.stats.score_hits
-        session.explain(step, config=FedexConfig(target_columns=["popularity"]))
-        assert session.stats.score_hits > hits
 
 
 class TestStructureToggle:

@@ -91,9 +91,9 @@ class TestByteBudget:
     def test_eviction_is_global_across_layers(self):
         store = CacheStore(budget_bytes=100_000)
         store.put("reports", "r", "report", nbytes=60_000)
-        store.put("columns", "c", "column", nbytes=60_000)
+        store.put("partitions", "p", "partition", nbytes=60_000)
         assert store.get("reports", "r") is None
-        assert store.get("columns", "c") == "column"
+        assert store.get("partitions", "p") == "partition"
 
     def test_budget_never_exceeded_under_many_inserts(self):
         store = CacheStore(budget_bytes=50_000)
@@ -408,12 +408,12 @@ class TestSessionViewOverSharedStore:
         cache = SessionCache()
         store = cache.store
         assert store.budget_bytes == DEFAULT_BUDGET_BYTES
-        cache.store_report(("oldest",), "report")
+        store.put("reports", ("oldest",), "report", tenant=cache.tenant)
         third = DEFAULT_BUDGET_BYTES // 3
-        for layer in ("partitions", "structures", "columns"):
-            store.put(layer, layer, "value", nbytes=third)
+        for layer, key in (("partitions", "a"), ("structures", "b"), ("partitions", "c")):
+            store.put(layer, key, "value", nbytes=third)
         # The last put went over the budget: the least recently used entry,
-        # a report, made room for a column.
+        # a report, made room for a partition.
         assert store.layer_count("reports") == 0
         assert store.metrics.evictions == 1
         assert store.usage_bytes == 3 * third
