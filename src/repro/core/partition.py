@@ -11,17 +11,22 @@ ships three partition families and accepts user-defined ones:
 * **Many-to-one** — the attribute is mapped through a strictly coarser
   attribute ``B`` (functional dependency ``A → B``), then frequency-split
   over ``B`` (e.g. year → decade).
+
+The built-in families work from each column's cached factorization
+(:meth:`Column.factorize`) and serve every requested set count of one
+(frame, attribute) from one pass: one frequency ranking, one companion
+search, one distinct count.  Nothing is kept between calls.
 """
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..dataframe.column import Column
 from ..dataframe.frame import DataFrame
 from ..errors import PartitionError
 
@@ -97,17 +102,30 @@ class RowPartition:
         self.validate()
 
     def validate(self) -> None:
-        """Check Definition 3.8: sets are pairwise disjoint."""
-        seen: set = set()
-        for row_set in self.all_sets():
-            indices = set(int(i) for i in row_set.indices)
-            overlap = seen & indices
-            if overlap:
+        """Check Definition 3.8: sets are pairwise disjoint.
+
+        Walks the sets in order over one boolean mask of the rows already
+        seen (offset by the smallest index, so the mask spans only the rows
+        the sets name).  The first set that reaches a seen row fails, naming
+        how many distinct rows it shares with the sets before it; a row
+        repeated within one set is not an overlap.
+        """
+        rows = [np.asarray(row_set.indices).astype(np.int64, copy=False)
+                for row_set in self.all_sets()]
+        rows = [indices for indices in rows if indices.size]
+        if not rows:
+            return
+        low = min(int(indices.min()) for indices in rows)
+        seen = np.zeros(max(int(indices.max()) for indices in rows) - low + 1, dtype=bool)
+        for indices in rows:
+            offsets = indices - low
+            shared = seen[offsets]
+            if shared.any():
                 raise PartitionError(
                     f"row sets of partition on {self.source_attribute!r} overlap "
-                    f"({len(overlap)} shared rows)"
+                    f"({np.unique(offsets[shared]).size} shared rows)"
                 )
-            seen |= indices
+            seen[offsets] = True
 
     def all_sets(self) -> List[RowSet]:
         """Candidate sets plus the ignore-set (when present)."""
@@ -142,123 +160,184 @@ class Partitioner(ABC):
         companion exists).
         """
 
+    def partition_counts(self, frame: DataFrame, attribute: str, counts: Sequence[int],
+                         input_index: int = 0) -> List[Optional[RowPartition]]:
+        """One :meth:`partition` result per set count in ``counts``, in order."""
+        return [self.partition(frame, attribute, n_sets, input_index=input_index)
+                for n_sets in counts]
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}()"
 
 
-class FrequencyPartitioner(Partitioner):
+#: One set count, or a tuple of them (answered with one result per count).
+SetCounts = Union[int, Tuple[int, ...]]
+
+
+class _SharedWorkPartitioner(Partitioner):
+    """A built-in family: every set count of one (frame, attribute) in one pass.
+
+    ``partition`` also takes a tuple of set counts and then returns one
+    result per count, built by ``_partitions`` from work that does not
+    depend on the count (a ranking, a companion search, a distinct count).
+    Each family defines ``partition`` on its own class, so the family's
+    name times all of its work (``perfbench/pb_ledger.py`` wraps it there).
+    A subclass that overrides ``partition`` receives that tuple too.
+    """
+
+    def partition_counts(self, frame: DataFrame, attribute: str, counts: Sequence[int],
+                         input_index: int = 0) -> List[Optional[RowPartition]]:
+        return self.partition(frame, attribute, tuple(counts), input_index=input_index)
+
+    def _each_count(self, frame: DataFrame, attribute: str, n_sets: SetCounts,
+                    input_index: int):
+        if isinstance(n_sets, tuple):
+            return self._partitions(frame, attribute, n_sets, input_index)
+        return self._partitions(frame, attribute, (n_sets,), input_index)[0]
+
+    @abstractmethod
+    def _partitions(self, frame: DataFrame, attribute: str, counts: Tuple[int, ...],
+                    input_index: int) -> List[Optional[RowPartition]]:
+        """One partition (or ``None``) per set count in ``counts``."""
+
+
+class FrequencyPartitioner(_SharedWorkPartitioner):
     """One set-of-rows per most-prevalent value; remaining rows are ignored."""
 
     method = "frequency"
 
-    def partition(self, frame: DataFrame, attribute: str, n_sets: int,
-                  input_index: int = 0) -> Optional[RowPartition]:
+    def partition(self, frame: DataFrame, attribute: str, n_sets: SetCounts,
+                  input_index: int = 0):
+        """Sets of the ``n_sets`` most frequent values (a tuple of counts: one per count)."""
+        return self._each_count(frame, attribute, n_sets, input_index)
+
+    def _partitions(self, frame: DataFrame, attribute: str, counts: Tuple[int, ...],
+                    input_index: int) -> List[Optional[RowPartition]]:
         if attribute not in frame:
-            return None
-        column = frame[attribute]
-        codes, uniques = column.factorize()
+            return [None] * len(counts)
+        codes, uniques = frame[attribute].factorize()
         if len(uniques) < 2:
-            return None
-        counts = np.bincount(codes[codes >= 0], minlength=len(uniques))
-        ranked = sorted(
-            range(len(uniques)), key=lambda position: (-counts[position], str(uniques[position]))
-        )
-        top_positions = ranked[:n_sets]
-
-        sets = []
-        covered = np.zeros(frame.num_rows, dtype=bool)
-        for position in top_positions:
-            member_indices = np.flatnonzero(codes == position)
-            covered[member_indices] = True
-            value = uniques[position]
-            sets.append(RowSet(
-                label=_format_value(value),
-                indices=member_indices.astype(np.int64),
-                source_attribute=attribute,
-                label_attribute=attribute,
-                method=self.method,
-                input_index=input_index,
-                values=(value,),
+            return [None] * len(counts)
+        top = _ranked_values(codes, uniques, max(counts))
+        labels = [_format_value(uniques[position]) for position in top]
+        members = [np.flatnonzero(codes == position) for position in top]
+        # Each row's rank among the top values, len(top) for any other row;
+        # a missing row's code -1 reads the extra last slot.
+        rank = np.full(len(uniques) + 1, len(top), dtype=np.int64)
+        rank[top] = np.arange(len(top))
+        row_rank = rank[codes]
+        partitions: List[Optional[RowPartition]] = []
+        for n_sets in counts:
+            sets = [
+                RowSet(
+                    label=label,
+                    indices=indices,
+                    source_attribute=attribute,
+                    label_attribute=attribute,
+                    method=self.method,
+                    input_index=input_index,
+                    values=(uniques[position],),
+                )
+                for position, label, indices in zip(top[:n_sets], labels, members)
+            ]
+            ignore_indices = np.flatnonzero(row_rank >= len(sets))
+            ignore_set = None
+            if ignore_indices.size:
+                ignore_set = RowSet(
+                    label="(other values)",
+                    indices=ignore_indices,
+                    source_attribute=attribute,
+                    label_attribute=attribute,
+                    method=self.method,
+                    input_index=input_index,
+                    is_ignore=True,
+                )
+            partitions.append(RowPartition(
+                sets=sets, ignore_set=ignore_set, source_attribute=attribute,
+                method=self.method, input_index=input_index, n_requested=n_sets,
             ))
-        ignore_indices = np.flatnonzero(~covered)
-        ignore_set = None
-        if ignore_indices.size:
-            ignore_set = RowSet(
-                label="(other values)",
-                indices=ignore_indices.astype(np.int64),
-                source_attribute=attribute,
-                label_attribute=attribute,
-                method=self.method,
-                input_index=input_index,
-                is_ignore=True,
-            )
-        return RowPartition(
-            sets=sets, ignore_set=ignore_set, source_attribute=attribute,
-            method=self.method, input_index=input_index, n_requested=n_sets,
-        )
+        return partitions
 
 
-class NumericBinningPartitioner(Partitioner):
-    """Equal-frequency intervals of a numeric attribute (empty ignore-set)."""
+class NumericBinningPartitioner(_SharedWorkPartitioner):
+    """Equal-frequency intervals of a numeric attribute (empty ignore-set).
+
+    The interval edges are quantiles of the finite values; ``-inf`` and
+    ``inf`` fall in the outer bins, whose bounds extend to meet them.
+    """
 
     method = "binning"
 
-    def partition(self, frame: DataFrame, attribute: str, n_sets: int,
-                  input_index: int = 0) -> Optional[RowPartition]:
-        if attribute not in frame:
-            return None
+    def partition(self, frame: DataFrame, attribute: str, n_sets: SetCounts,
+                  input_index: int = 0):
+        """Up to ``n_sets`` equal-frequency bins (a tuple of counts: one per count)."""
+        return self._each_count(frame, attribute, n_sets, input_index)
+
+    def _partitions(self, frame: DataFrame, attribute: str, counts: Tuple[int, ...],
+                    input_index: int) -> List[Optional[RowPartition]]:
+        if attribute not in frame or not frame[attribute].is_numeric:
+            return [None] * len(counts)
         column = frame[attribute]
-        if not column.is_numeric:
-            return None
+        distinct = column.factorize()[1]  # sorted non-missing values
+        low_inf = bool(distinct) and distinct[0] == -math.inf
+        high_inf = bool(distinct) and distinct[-1] == math.inf
+        finite_distinct = len(distinct) - low_inf - high_inf
+        if finite_distinct < 2:
+            return [None] * len(counts)
         values = column.to_float()
-        finite_mask = ~np.isnan(values)
-        finite = values[finite_mask]
-        if finite.size == 0 or np.unique(finite).size < 2:
-            return None
-        n_bins = min(n_sets, int(np.unique(finite).size))
-        quantiles = np.quantile(finite, np.linspace(0.0, 1.0, n_bins + 1))
-        edges = np.unique(quantiles)
-        if edges.size < 2:
-            return None
-        # Assign each row to a bin; the last bin is closed on the right.
-        bin_ids = np.digitize(values, edges[1:-1], right=True)
-        sets: List[RowSet] = []
-        ignore_indices = np.flatnonzero(~finite_mask)
-        for bin_id in range(edges.size - 1):
-            member_mask = finite_mask & (bin_ids == bin_id)
-            indices = np.flatnonzero(member_mask)
-            if indices.size == 0:
+        present = ~np.isnan(values)
+        finite = values[np.isfinite(values)]
+        ignore_indices = np.flatnonzero(~present)
+        partitions: List[Optional[RowPartition]] = []
+        for n_sets in counts:
+            n_bins = min(n_sets, finite_distinct)
+            edges = np.unique(np.quantile(finite, np.linspace(0.0, 1.0, n_bins + 1)))
+            if edges.size < 2:
+                partitions.append(None)
                 continue
-            low, high = float(edges[bin_id]), float(edges[bin_id + 1])
-            sets.append(RowSet(
-                label=_format_interval(low, high, closed=bin_id == edges.size - 2),
-                indices=indices.astype(np.int64),
-                source_attribute=attribute,
-                label_attribute=attribute,
-                method=self.method,
-                input_index=input_index,
-                interval=(low, high),
+            if low_inf:
+                edges[0] = -math.inf
+            if high_inf:
+                edges[-1] = math.inf
+            # Assign each row to a bin; the last bin is closed on the right.
+            bin_ids = np.digitize(values, edges[1:-1], right=True)
+            sets: List[RowSet] = []
+            for bin_id in range(edges.size - 1):
+                indices = np.flatnonzero(present & (bin_ids == bin_id))
+                if indices.size == 0:
+                    continue
+                low, high = float(edges[bin_id]), float(edges[bin_id + 1])
+                sets.append(RowSet(
+                    label=_format_interval(low, high, closed=bin_id == edges.size - 2),
+                    indices=indices,
+                    source_attribute=attribute,
+                    label_attribute=attribute,
+                    method=self.method,
+                    input_index=input_index,
+                    interval=(low, high),
+                ))
+            if len(sets) < 2:
+                partitions.append(None)
+                continue
+            ignore_set = None
+            if ignore_indices.size:
+                ignore_set = RowSet(
+                    label="(missing values)",
+                    indices=ignore_indices,
+                    source_attribute=attribute,
+                    label_attribute=attribute,
+                    method=self.method,
+                    input_index=input_index,
+                    is_ignore=True,
+                )
+            partitions.append(RowPartition(
+                sets=sets, ignore_set=ignore_set, source_attribute=attribute,
+                method=self.method, input_index=input_index, n_requested=n_sets,
             ))
-        if len(sets) < 2:
-            return None
-        ignore_set = None
-        if ignore_indices.size:
-            ignore_set = RowSet(
-                label="(missing values)",
-                indices=ignore_indices.astype(np.int64),
-                source_attribute=attribute,
-                label_attribute=attribute,
-                method=self.method,
-                input_index=input_index,
-                is_ignore=True,
-            )
-        return RowPartition(
-            sets=sets, ignore_set=ignore_set, source_attribute=attribute,
-            method=self.method, input_index=input_index, n_requested=n_sets,
-        )
+        return partitions
 
 
-class ManyToOnePartitioner(Partitioner):
+class ManyToOnePartitioner(_SharedWorkPartitioner):
     """Partition an attribute through a strictly coarser attribute ``B``.
 
     For the attribute ``A`` we search for attributes ``B`` such that ``A``
@@ -275,50 +354,61 @@ class ManyToOnePartitioner(Partitioner):
         self.max_distinct_ratio = max_distinct_ratio
         self._frequency = FrequencyPartitioner()
 
-    def partition(self, frame: DataFrame, attribute: str, n_sets: int,
-                  input_index: int = 0) -> Optional[RowPartition]:
-        companions = self.find_companions(frame, attribute)
-        for companion in companions[: self.max_companions]:
-            base = self._frequency.partition(frame, companion, n_sets, input_index=input_index)
-            if base is None:
+    def partition(self, frame: DataFrame, attribute: str, n_sets: SetCounts,
+                  input_index: int = 0):
+        """Frequency sets of the first usable companion (a tuple of counts: one per count)."""
+        return self._each_count(frame, attribute, n_sets, input_index)
+
+    def _partitions(self, frame: DataFrame, attribute: str, counts: Tuple[int, ...],
+                    input_index: int) -> List[Optional[RowPartition]]:
+        for companion in self.find_companions(frame, attribute)[: self.max_companions]:
+            bases = self._frequency.partition(frame, companion, counts, input_index=input_index)
+            if all(base is None for base in bases):
                 continue
-            sets = [
-                RowSet(
-                    label=row_set.label,
-                    indices=row_set.indices,
-                    source_attribute=attribute,
-                    label_attribute=companion,
-                    method=self.method,
-                    input_index=input_index,
-                    values=row_set.values,
-                )
-                for row_set in base.sets
-            ]
-            ignore_set = None
-            if base.ignore_set is not None:
-                ignore_set = RowSet(
-                    label=base.ignore_set.label,
-                    indices=base.ignore_set.indices,
-                    source_attribute=attribute,
-                    label_attribute=companion,
-                    method=self.method,
-                    input_index=input_index,
-                    is_ignore=True,
-                )
-            return RowPartition(
-                sets=sets, ignore_set=ignore_set, source_attribute=attribute,
-                method=self.method, input_index=input_index, n_requested=n_sets,
+            return [None if base is None else self._relabel(base, attribute, companion)
+                    for base in bases]
+        return [None] * len(counts)
+
+    def _relabel(self, base: RowPartition, attribute: str, companion: str) -> RowPartition:
+        sets = [
+            RowSet(
+                label=row_set.label,
+                indices=row_set.indices,
+                source_attribute=attribute,
+                label_attribute=companion,
+                method=self.method,
+                input_index=base.input_index,
+                values=row_set.values,
             )
-        return None
+            for row_set in base.sets
+        ]
+        ignore_set = None
+        if base.ignore_set is not None:
+            ignore_set = RowSet(
+                label=base.ignore_set.label,
+                indices=base.ignore_set.indices,
+                source_attribute=attribute,
+                label_attribute=companion,
+                method=self.method,
+                input_index=base.input_index,
+                is_ignore=True,
+            )
+        return RowPartition(
+            sets=sets, ignore_set=ignore_set, source_attribute=attribute,
+            method=self.method, input_index=base.input_index, n_requested=base.n_requested,
+        )
 
     def find_companions(self, frame: DataFrame, attribute: str) -> List[str]:
         """Attributes ``B`` with a many-to-one relationship from ``attribute``.
 
         Checks the two conditions of §3.5 and ranks candidates by how much
         coarser they are (fewer distinct values first), which tends to yield
-        the most readable explanations.  The functional-dependency test is
-        vectorised: ``A → B`` holds exactly when the number of distinct
-        (A, B) pairs equals the number of distinct A values.
+        the most readable explanations.  Both conditions are read off the
+        cached factorization codes of the rows where ``A`` and ``B`` are
+        present, in O(rows) per candidate: ``A → B`` holds exactly when
+        scattering one ``B`` code per ``A`` code and gathering it back
+        reproduces every row's ``B`` code, and ``B`` is strictly coarser
+        when fewer distinct ``B`` codes than ``A`` codes occur there.
         """
         if attribute not in frame:
             return []
@@ -327,6 +417,7 @@ class ManyToOnePartitioner(Partitioner):
         if source_distinct < 2:
             return []
         source_valid = source_codes >= 0
+        mapped = np.empty(source_distinct, dtype=np.int64)
         candidates: List[Tuple[int, str]] = []
         for other in frame.column_names:
             if other == attribute:
@@ -338,14 +429,18 @@ class ManyToOnePartitioner(Partitioner):
             if distinct_b > self.max_distinct_ratio * source_distinct:
                 continue
             both_valid = source_valid & (other_codes >= 0)
-            if not both_valid.any():
+            source_present = source_codes[both_valid]
+            if source_present.size == 0:
                 continue
-            pair_codes = source_codes[both_valid] * distinct_b + other_codes[both_valid]
-            distinct_pairs = np.unique(pair_codes).size
-            distinct_a_present = np.unique(source_codes[both_valid]).size
-            functional = distinct_pairs == distinct_a_present
-            strictly_coarser = np.unique(other_codes[both_valid]).size < distinct_a_present
-            if functional and strictly_coarser:
+            other_present = other_codes[both_valid]
+            mapped[source_present] = other_present
+            if not np.array_equal(mapped[source_present], other_present):
+                continue
+            distinct_a_present = np.count_nonzero(np.bincount(source_present,
+                                                              minlength=source_distinct))
+            distinct_b_present = np.count_nonzero(np.bincount(other_present,
+                                                              minlength=distinct_b))
+            if distinct_b_present < distinct_a_present:
                 candidates.append((distinct_b, other))
         candidates.sort()
         return [name for _, name in candidates]
@@ -431,8 +526,11 @@ def build_partitions(frame: DataFrame, attributes: Sequence[str], n_sets_options
 
     Implements lines 3–6 of Algorithm 1: the union of every row-partition
     produced by every configured method, for every candidate attribute and
-    every requested number of sets-of-rows.  Duplicate partitions (same
-    method, attribute, and resulting set labels) are dropped.
+    every requested number of sets-of-rows, in that order (attribute, then
+    set count, then partitioner).  Each partitioner is asked once per
+    attribute for all set counts (:meth:`Partitioner.partition_counts`).
+    Duplicate partitions (same method, attribute, and resulting set labels)
+    are dropped.
     """
     partitions: List[RowPartition] = []
     seen_signatures: set = set()
@@ -441,9 +539,13 @@ def build_partitions(frame: DataFrame, attributes: Sequence[str], n_sets_options
             continue
         if frame[attribute].n_unique() < min_group_values:
             continue
-        for n_sets in n_sets_options:
-            for partitioner in partitioners:
-                partition = partitioner.partition(frame, attribute, n_sets, input_index=input_index)
+        by_partitioner = [
+            partitioner.partition_counts(frame, attribute, tuple(n_sets_options),
+                                         input_index=input_index)
+            for partitioner in partitioners
+        ]
+        for by_count in zip(*by_partitioner):
+            for partition in by_count:
                 if partition is None or len(partition) < 2:
                     continue
                 signature = (
@@ -459,8 +561,23 @@ def build_partitions(frame: DataFrame, attributes: Sequence[str], n_sets_options
     return partitions
 
 
+def _ranked_values(codes: np.ndarray, uniques: Sequence, cut: int) -> np.ndarray:
+    """Positions in ``uniques`` of the ``cut`` most frequent values, best first.
+
+    Ranked by (−count, ``str(value)``).  Only values whose count reaches the
+    ``cut``-th largest count can place, so ``str()`` runs on those alone.
+    """
+    counts = np.bincount(codes[codes >= 0], minlength=len(uniques))
+    cut = min(cut, len(uniques))
+    threshold = np.partition(counts, len(counts) - cut)[len(counts) - cut]
+    contenders = np.flatnonzero(counts >= threshold)
+    names = np.array([str(uniques[position]) for position in contenders], dtype=object)
+    order = np.lexsort((names, -counts[contenders]))
+    return contenders[order[:cut]]
+
+
 def _format_value(value) -> str:
-    if isinstance(value, float) and value == int(value):
+    if isinstance(value, float) and math.isfinite(value) and value == int(value):
         return str(int(value))
     return str(value)
 
@@ -471,6 +588,6 @@ def _format_interval(low: float, high: float, closed: bool) -> str:
 
 
 def _format_number(value: float) -> str:
-    if value == int(value):
+    if math.isfinite(value) and value == int(value):
         return str(int(value))
     return f"{value:.3g}"

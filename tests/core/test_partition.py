@@ -2,10 +2,17 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import phase2_reference as reference
 from repro.core import (
+    FedexConfig,
+    FedexExplainer,
     FrequencyPartitioner,
     ManyToOnePartitioner,
     MappingPartitioner,
@@ -15,8 +22,11 @@ from repro.core import (
     build_partitions,
     default_partitioners,
 )
-from repro.dataframe import DataFrame
+from repro.dataframe import Comparison, DataFrame
 from repro.errors import PartitionError
+from repro.operators import ExploratoryStep, Filter, GroupBy
+from repro.serving.protocol import dump_json, report_document
+from repro.session import ExplanationSession
 
 
 @pytest.fixture
@@ -181,7 +191,110 @@ class TestBuildPartitions:
         with pytest.raises(PartitionError):
             default_partitioners(("nope",))
 
+    def test_every_count_served_by_one_call(self, frame):
+        for partitioner in default_partitioners():
+            together = partitioner.partition_counts(frame, "year", (2, 5, 10))
+            one_by_one = [partitioner.partition(frame, "year", n_sets) for n_sets in (2, 5, 10)]
+            assert [None if p is None else [(s.label, s.indices.tolist()) for s in p.all_sets()]
+                    for p in together] == \
+                [None if p is None else [(s.label, s.indices.tolist()) for s in p.all_sets()]
+                 for p in one_by_one]
+
+    def test_companions_searched_once_per_attribute(self, frame):
+        calls = []
+
+        class Counting(ManyToOnePartitioner):
+            def find_companions(self, frame, attribute):
+                calls.append(attribute)
+                return super().find_companions(frame, attribute)
+
+        build_partitions(frame, ["year", "value"], [2, 5, 10], [Counting()])
+        assert calls == ["year", "value"]
+
+    def test_custom_partitioner_called_once_per_count(self, frame):
+        counts = []
+
+        class Halves(MappingPartitioner):
+            def partition(self, frame, attribute, n_sets, input_index=0):
+                counts.append(n_sets)
+                return super().partition(frame, attribute, n_sets, input_index)
+
+        halves = Halves("half", lambda year: "old" if year < 2005 else "new")
+        partitions = build_partitions(frame, ["year"], [2, 5], [halves])
+        assert counts == [2, 5]
+        assert len(partitions) == 1
+
     def test_row_set_key_is_hashable(self, frame):
         partition = FrequencyPartitioner().partition(frame, "decade", 3)
         keys = {row_set.key() for row_set in partition.sets}
         assert len(keys) == 3
+
+
+class TestInfinities:
+    """``±inf`` values get labels and sit in the outer bins."""
+
+    def test_frequency_labels_render_infinities(self):
+        frame = DataFrame({"x": np.asarray([1.0, np.inf, np.inf, -np.inf, 2.0])})
+        partition = FrequencyPartitioner().partition(frame, "x", 5)
+        assert [row_set.label for row_set in partition.sets] == ["inf", "-inf", "1", "2"]
+
+    def test_infinities_extend_the_outer_bins(self):
+        frame = DataFrame({"x": np.asarray([1, 2, 3, 4, np.inf, np.inf, -np.inf, 5])})
+        partition = NumericBinningPartitioner().partition(frame, "x", 3)
+        assert [row_set.label for row_set in partition.sets] == [
+            "[-inf, 2.33)", "[2.33, 3.67)", "[3.67, inf]"]
+        assert [row_set.indices.tolist() for row_set in partition.sets] == [
+            [0, 1, 6], [2], [3, 4, 5, 7]]
+        assert partition.sets[0].interval[0] == -math.inf
+        assert partition.sets[-1].interval[1] == math.inf
+
+    def test_binning_needs_two_distinct_finite_values(self):
+        frame = DataFrame({"x": np.asarray([5.0, 5.0, np.inf, -np.inf, np.nan])})
+        assert NumericBinningPartitioner().partition(frame, "x", 3) is None
+        assert FrequencyPartitioner().partition(frame, "x", 3) is not None
+
+    @given(st.lists(st.sampled_from([-2.5, 0.0, 1.0, 3.0, 7.25, 1e16, np.nan, np.inf, -np.inf]),
+                    max_size=30),
+           st.integers(min_value=1, max_value=8))
+    @settings(max_examples=300, deadline=None)
+    def test_binning_sets_hold_their_intervals(self, values, n_sets):
+        frame = DataFrame({"x": np.asarray(values, dtype=float)})
+        partition = NumericBinningPartitioner().partition(frame, "x", n_sets)
+        if not any(math.isinf(value) for value in values):
+            expected = reference.NumericBinningPartitioner().partition(frame, "x", n_sets)
+            assert (partition is None) == (expected is None)
+            if partition is not None:
+                assert [(s.label, s.interval, s.indices.tolist()) for s in partition.all_sets()] \
+                    == [(s.label, s.interval, s.indices.tolist()) for s in expected.all_sets()]
+        if partition is None:
+            return
+        column = np.asarray(values, dtype=float)
+        for row_set in partition.sets:
+            low, high = row_set.interval
+            assert "nan" not in row_set.label
+            assert np.all((low <= column[row_set.indices]) & (column[row_set.indices] <= high))
+
+    @pytest.mark.parametrize("route", ["explainer", "session"])
+    @pytest.mark.parametrize("kind", ["filter", "groupby"])
+    def test_explain_with_infinite_values(self, route, kind):
+        rng = np.random.default_rng(0)
+        x = rng.integers(0, 20, 400).astype(float)
+        x[::17] = np.inf
+        x[::23] = -np.inf
+        frame = DataFrame({
+            "x": x,
+            "y": rng.normal(size=400),
+            "g": np.asarray(rng.choice(["a", "b", "c"], 400), dtype=object),
+        })
+        operation = Filter(Comparison("x", ">", 5)) if kind == "filter" \
+            else GroupBy("x", {"y": ["mean"]})
+        step = ExploratoryStep([frame], operation)
+        if route == "explainer":
+            report = FedexExplainer(FedexConfig()).explain(step)
+        else:
+            report = ExplanationSession().explain(step)
+        labels = {candidate.row_set.label for candidate in report.all_candidates
+                  if candidate.row_set.source_attribute == "x"}
+        assert any("inf" in label for label in labels)
+        assert not any("nan" in label for label in labels)
+        dump_json(report_document(report))
