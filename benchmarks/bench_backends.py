@@ -150,7 +150,7 @@ def run_batching_comparison(n_rows: int = 4_000, workers: int = 4):
 
     The step is a filter explained with ``partition_source="all"`` — every
     input attribute partitioned by every method, so the contribution grid
-    is wide and each shard (batched KS over a few thousand rows) is cheap.
+    is wide and each shard (KS by counts over a few thousand rows) is cheap.
     ``shard_batch=1`` reproduces the backend's pre-batching behaviour (one
     pickle/submit/result round-trip per pair, the PR-5 baseline);
     ``shard_batch=None`` is the automatic batching policy.  Both runs

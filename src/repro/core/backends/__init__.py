@@ -6,9 +6,9 @@ stable while the execution strategy behind Definition 3.3 is swappable via
 
 * ``"exact"`` — :class:`ExactRerunBackend`, remove → re-run → re-score (the
   reference oracle);
-* ``"incremental"`` — :class:`IncrementalBackend`, batched derivation from
-  precomputed per-group partials, row provenance, and shared argsorts (the
-  default);
+* ``"incremental"`` — :class:`IncrementalBackend`, derivation of every set
+  of a partition at once, from one label per input row plus precomputed
+  per-group partials, row provenance, and shared argsorts (the default);
 * ``"process"`` — :class:`ProcessBackend`, shards the partition ×
   attribute grid across a process pool, each shard served by an embedded
   incremental backend: inputs travel as mmap frame descriptors

@@ -12,8 +12,8 @@ computed:
   kept as the reference oracle;
 * :class:`~repro.core.backends.incremental.IncrementalBackend` exploits the
   operation's structure (per-group partial aggregates, row-provenance
-  slicing, shared argsorts, batched KS) to derive every intervention of a
-  partition without re-running anything;
+  slicing, KS by value counts, all from one label per input row) to derive
+  every intervention of a partition without re-running anything;
 * :class:`~repro.core.backends.process.ProcessBackend` shards the
   partition × attribute grid across a *process* pool, delegating each shard
   to an embedded incremental backend and shipping inputs as mmap frame

@@ -4,30 +4,32 @@ Instead of re-running the operation per set-of-rows (the
 :class:`~repro.core.backends.exact.ExactRerunBackend` semantics), this
 backend derives every reduced interestingness score from structure that is
 precomputed **once per (step, attribute)** and shared across all
-interventions:
+interventions.  The sets of one partition are disjoint (Definition 3.8), so
+one ``int64`` label per input row — the position of the set holding it, or
+``-1`` — describes every intervention of the partition at once; output rows
+take the label of the input row they derive from.
 
 * **Group-by with decomposable aggregates** (sum / count / mean / min /
   max / median / std): one pass over the input assigns every row a group
-  id; per-group counts and sums are precomputed, and each intervention's
-  reduced aggregates follow by subtracting the removed rows' per-group
-  partials (min/max use a per-group scatter over the surviving rows,
-  median reads order statistics off one shared group-major sort, std
-  subtracts centered first/second moments) — no re-grouping, no per-group
-  python loop.
+  id.  Per-group counts and sums are precomputed, and every set's reduced
+  aggregates follow by subtracting its rows' per-group partials, taken for
+  all sets from one weighted ``bincount`` over (label, group).  min/max
+  rescan the surviving values with one scatter per set, median reads order
+  statistics off one shared group-major sort per set, and std re-aggregates
+  only the groups a set touches, off the same kind of sort.
 * **Filter / inner join / union / project**: the operation's row-level
-  provenance (:meth:`~repro.operators.operations.Operation.row_mask`) is
-  computed once; every intervention's reduced output is a boolean slice of
-  the already-materialised output — the operation is never re-run.
-* **KS re-scoring**: the exceptionality measure needs the reduced input and
-  output columns *sorted*; both argsorts are computed once (and cached on
-  the :class:`~repro.dataframe.column.Column`), and each intervention's
-  sorted values are obtained by masking the sorted order — dropping rows
-  from a sorted array leaves it sorted.  Categorical columns go through
-  cached factorisation codes and count subtraction instead.
-
-* **KS re-scoring, batched**: a whole partition's row sets are re-scored
-  in one vectorised 2-D pass (:func:`repro.stats.ks.ks_sorted_masked_batch`)
-  instead of one 1-D pass per set.
+  provenance (:meth:`~repro.operators.operations.Operation.row_mask`,
+  through :func:`row_sources`) is computed once; every intervention's
+  reduced output is a slice of the already-materialised output — the
+  operation is never re-run.
+* **KS re-scoring by counts**: each (input column, output column) pair's
+  non-NaN values are placed once on one sorted support, read off the
+  columns' cached argsorts.  One ``bincount`` over (label, value) gives
+  every set's removed counts, and the KS statistic follows from integer
+  cumulative counts divided by the kept totals
+  (:func:`repro.stats.ks.ks_removed_counts_batch`).  Categorical columns
+  take their removed counts from the same bincount over cached
+  factorisation codes.
 
 * **Right side of a left join**: removing right rows is *not* a slice of
   the output (left rows whose matches all disappear resurface as
@@ -54,15 +56,14 @@ import numpy as np
 
 from ...dataframe.column import Column
 from ...dataframe.frame import DataFrame
-from ...dataframe.groupby import composite_key_codes
+from ...dataframe.groupby import AGGREGATIONS, composite_key_codes
 from ...operators.operations import GroupBy, Join
 from ...stats.dispersion import coefficient_of_variation
 from ...stats.ks import (
     ks_columns,
-    ks_from_value_counts,
     ks_from_value_counts_batch,
-    ks_sorted_masked_batch,
-    ks_two_sample_sorted,
+    ks_removed_counts_batch,
+    set_value_counts,
 )
 from ..interestingness import DiversityMeasure, ExceptionalityMeasure
 from ..partition import RowSet
@@ -97,23 +98,23 @@ class IncrementalBackend(ContributionBackend):
         plan = self._plan_for(row_set.input_index, attribute)
         if plan is None:
             return self._fallback.reduced_score(row_set, attribute)
-        return plan.reduced_score(row_set)
+        n_rows = self.step.inputs[row_set.input_index].num_rows
+        return float(plan.reduced_scores(_set_labels([row_set], n_rows), 1)[0])
 
     def partition_contributions(self, partition, attribute: str,
                                 baseline: float) -> List[float]:
-        """Raw contributions of a whole partition, batched when possible.
+        """Raw contributions of a whole partition, from one set labelling.
 
-        Plans exposing ``reduced_scores_batch`` (the KS-based exceptionality
-        plan) re-score every set-of-rows of the partition in one vectorised
-        2-D pass instead of one 1-D pass per set; other plans and the exact
-        fallback keep the per-set walk of the base class.
+        Every plan scores all sets-of-rows of the partition from one label
+        per input row (:func:`_set_labels`); the exact fallback keeps the
+        per-set walk of the base class.
         """
         plan = self._plan_for(partition.input_index, attribute)
-        batch = getattr(plan, "reduced_scores_batch", None)
-        if batch is not None and partition.sets:
-            scores = batch(partition.sets)
-            return [baseline - float(score) for score in scores]
-        return super().partition_contributions(partition, attribute, baseline)
+        if plan is None or not partition.sets:
+            return super().partition_contributions(partition, attribute, baseline)
+        n_rows = self.step.inputs[partition.input_index].num_rows
+        scores = plan.reduced_scores(_set_labels(partition.sets, n_rows), len(partition.sets))
+        return [baseline - float(score) for score in scores]
 
     # ------------------------------------------------------------------- plans
     def _plan_for(self, input_index: int, attribute: str):
@@ -173,12 +174,7 @@ class IncrementalBackend(ContributionBackend):
 
     def _sources(self) -> Optional[List[Optional[np.ndarray]]]:
         if self._row_sources is _UNSET:
-            if self._context is not None:
-                self._row_sources = self._context.row_sources(
-                    self.step, lambda step: step.operation.row_mask(step.inputs)
-                )
-            else:
-                self._row_sources = self.step.operation.row_mask(self.step.inputs)
+            self._row_sources = row_sources(self.step, self._context)
         return self._row_sources
 
     def _groupby(self) -> Optional["_GroupByStructure"]:
@@ -201,35 +197,40 @@ class IncrementalBackend(ContributionBackend):
         return self._left_join_structure
 
 
+def row_sources(step, context=None) -> Optional[List[Optional[np.ndarray]]]:
+    """Row-level provenance of a step's output (:meth:`Operation.row_mask`).
+
+    Memoized by the session ``context`` when one is given (its
+    ``row_sources`` hook), else computed from the operation.  Phase 3 and
+    the phase-5 exceptionality charts both read provenance through here.
+    """
+    if context is None:
+        return step.operation.row_mask(step.inputs)
+    return context.row_sources(step, lambda step: step.operation.row_mask(step.inputs))
+
+
 class _ConstantScorePlan:
     """A reduced score that no intervention can change."""
 
     def __init__(self, score: float) -> None:
         self._score = score
 
-    def reduced_score(self, row_set: RowSet) -> float:
-        return self._score
+    def reduced_scores(self, labels: np.ndarray, n_sets: int) -> List[float]:
+        return [self._score] * n_sets
 
 
-def _removal_mask(row_set: RowSet, n_rows: int) -> np.ndarray:
-    """Boolean mask over the intervened input marking the removed rows."""
-    removed = np.zeros(n_rows, dtype=bool)
-    indices = np.asarray(row_set.indices, dtype=np.int64)
-    if indices.size:
-        indices = indices[(indices >= 0) & (indices < n_rows)]
-        removed[indices] = True
-    return removed
+def _set_labels(row_sets: Sequence[RowSet], n_rows: int) -> np.ndarray:
+    """One label per input row: the position of the set removing it, else ``-1``.
 
-
-def _removal_matrix(row_sets: Sequence[RowSet], n_rows: int) -> np.ndarray:
-    """Stacked removal masks — row ``i`` marks the rows removed by set ``i``."""
-    removed = np.zeros((len(row_sets), n_rows), dtype=bool)
+    The sets of a partition are disjoint (checked when a
+    :class:`~repro.core.partition.RowPartition` is built).  Indices outside
+    the input are ignored; a row repeated within one set is removed once.
+    """
+    labels = np.full(n_rows, -1, dtype=np.int64)
     for position, row_set in enumerate(row_sets):
         indices = np.asarray(row_set.indices, dtype=np.int64)
-        if indices.size:
-            indices = indices[(indices >= 0) & (indices < n_rows)]
-            removed[position, indices] = True
-    return removed
+        labels[indices[(indices >= 0) & (indices < n_rows)]] = position
+    return labels
 
 
 # --------------------------------------------------------------------- group-by
@@ -275,25 +276,26 @@ class _GroupByStructure:
 class _GroupByAggregatePlan:
     """Reduced diversity of one aggregate column via per-group partials.
 
-    ``sum``/``count``/``mean`` subtract the removed rows' per-group partial
-    count and sum from the precomputed totals; ``min``/``max`` rescan the
-    surviving values with one vectorised scatter; ``median`` reads the
-    middle order statistics of each group off one shared group-major value
-    sort (dropping rows keeps the per-group runs sorted); ``std`` subtracts
-    partial first and second moments of the values *centered on the full
-    per-group means* (centering keeps the moment subtraction numerically
-    stable where raw sums-of-squares would cancel catastrophically).  Groups
-    whose rows are all removed vanish from the reduced output (as
-    re-grouping would make them); surviving groups whose aggregated values
-    are all missing yield NaN, which the coefficient of variation ignores —
-    both matching the exact group-by.
+    ``sum``/``count``/``mean`` subtract each set's per-group partial count
+    and sum from the precomputed totals, taken for every set of a partition
+    from one (weighted) ``bincount`` over (label, group).  ``min``/``max``
+    rescan each set's surviving values with one vectorised scatter,
+    ``median`` reads the middle order statistics of each group off one
+    shared group-major value sort (dropping rows keeps the per-group runs
+    sorted), and ``std`` re-aggregates the groups a set removes rows from
+    (see :meth:`_reduced_std`).  Groups whose rows are
+    all removed vanish from the reduced output (as re-grouping would make
+    them); surviving groups whose aggregated values are all missing yield
+    NaN, which the coefficient of variation ignores — both matching the
+    exact group-by.
     """
 
     def __init__(self, step, attribute: str, structure: _GroupByStructure, agg: str,
                  source_column: Optional[str]) -> None:
         self._structure = structure
         self._agg = agg
-        self._n_rows = step.inputs[0].num_rows
+        self._grouped_rows = np.flatnonzero(structure.row_gid >= 0)
+        self._grouped_gids = structure.row_gid[self._grouped_rows]
         # Score of the untouched step, exactly as the diversity measure
         # computes it on the materialised output.  Returned verbatim for
         # no-op interventions (sets disjoint from the grouped rows, e.g.
@@ -322,43 +324,53 @@ class _GroupByAggregatePlan:
             self._median_gids = self._value_gids[order]
             self._median_values = self._values[order]
         elif agg == "std":
-            with np.errstate(invalid="ignore", divide="ignore"):
-                means = self._sum_g / self._count_g
-            means = np.where(self._count_g > 0, means, 0.0)
-            self._centered = self._values - means[self._value_gids]
-            self._centered_sq = self._centered * self._centered
-            self._csum_g = np.bincount(self._value_gids, weights=self._centered,
-                                       minlength=structure.n_groups)
-            self._csumsq_g = np.bincount(self._value_gids, weights=self._centered_sq,
-                                         minlength=structure.n_groups)
+            # Group-major order of the usable rows, row order within a group:
+            # group ``g``'s run is the array the exact group-by aggregates.
+            order = np.argsort(self._value_gids, kind="stable")
+            self._std_rows = self._value_rows[order]
+            self._std_values = self._values[order]
+            self._std_bounds = np.concatenate([[0], np.cumsum(self._count_g)])
+            self._std_g = np.asarray(
+                [_group_std(self._std_values[start:stop])
+                 for start, stop in zip(self._std_bounds[:-1], self._std_bounds[1:])],
+                dtype=float,
+            )
 
-    def reduced_score(self, row_set: RowSet) -> float:
-        structure = self._structure
-        removed = _removal_mask(row_set, self._n_rows)
-        removed_gids = structure.row_gid[removed & (structure.row_gid >= 0)]
-        if removed_gids.size == 0:
+    def reduced_scores(self, labels: np.ndarray, n_sets: int) -> List[float]:
+        n_groups = self._structure.n_groups
+        removed_sizes = set_value_counts(labels[self._grouped_rows], self._grouped_gids,
+                                         n_groups, n_sets)
+        partials = []
+        if self._agg in ("sum", "mean"):
+            # Per-set removed partials: counts, then sums.
+            value_labels = labels[self._value_rows]
+            partials = [set_value_counts(value_labels, self._value_gids, n_groups, n_sets,
+                                         weights=weights)
+                        for weights in (None, self._values)]
+        return [self._reduced(labels, position, removed_sizes[position],
+                              [rows[position] for rows in partials])
+                for position in range(n_sets)]
+
+    def _reduced(self, labels: np.ndarray, position: int, removed_sizes: np.ndarray,
+                 partials: List[np.ndarray]) -> float:
+        """Reduced diversity of the set labelled ``position``."""
+        if not removed_sizes.any():
             # No grouped row is removed: the reduced output IS the output.
             return self._full_score
-        removed_sizes = np.bincount(removed_gids, minlength=structure.n_groups)
-        reduced_sizes = structure.group_sizes - removed_sizes
+        reduced_sizes = self._structure.group_sizes - removed_sizes
         alive = reduced_sizes > 0
 
         if self._agg == "count":
             values = reduced_sizes[alive].astype(float)
             return coefficient_of_variation(values)
 
+        removed = labels == position
         if self._agg == "median":
             return self._reduced_median(removed, alive)
-
-        removed_values = removed[self._value_rows]
         if self._agg == "std":
-            return self._reduced_std(removed_values, alive)
+            return self._reduced_std(removed, removed_sizes > 0, alive)
         if self._agg in ("sum", "mean"):
-            count_rem = np.bincount(self._value_gids[removed_values],
-                                    minlength=structure.n_groups)
-            sum_rem = np.bincount(self._value_gids[removed_values],
-                                  weights=self._values[removed_values],
-                                  minlength=structure.n_groups)
+            count_rem, sum_rem = partials
             counts = self._count_g - count_rem
             sums = self._sum_g - sum_rem
             with np.errstate(invalid="ignore", divide="ignore"):
@@ -369,12 +381,13 @@ class _GroupByAggregatePlan:
         # min / max: one scatter pass over the surviving values.  Empty groups
         # are detected by count, not by the scatter sentinel, so legitimate
         # +/-inf values survive as the exact rerun would produce them.
-        kept = ~removed_values
+        kept = ~removed[self._value_rows]
+        n_groups = self._structure.n_groups
         sentinel = np.inf if self._agg == "min" else -np.inf
-        per_group = np.full(structure.n_groups, sentinel, dtype=float)
+        per_group = np.full(n_groups, sentinel, dtype=float)
         scatter = np.minimum.at if self._agg == "min" else np.maximum.at
         scatter(per_group, self._value_gids[kept], self._values[kept])
-        kept_counts = np.bincount(self._value_gids[kept], minlength=structure.n_groups)
+        kept_counts = np.bincount(self._value_gids[kept], minlength=n_groups)
         values = np.where(kept_counts > 0, per_group, np.nan)
         return coefficient_of_variation(values[alive])
 
@@ -402,55 +415,43 @@ class _GroupByAggregatePlan:
         values = np.where(counts > 0, medians, np.nan)
         return coefficient_of_variation(values[alive])
 
-    def _reduced_std(self, removed_values: np.ndarray, alive: np.ndarray) -> float:
-        """Per-group sample std via subtraction of centered moment partials.
+    def _reduced_std(self, removed: np.ndarray, touched: np.ndarray,
+                     alive: np.ndarray) -> float:
+        """Per-group sample std: the full groups' values, re-aggregated where rows go.
 
-        With values centered on the full per-group mean, the surviving sum of
-        squared deviations about the *surviving* mean is ``S2 − S1²/n`` (the
-        shift identity), so no rescan is needed.  Tiny negative residues from
-        float cancellation are clipped to zero before the square root.
+        A surviving group that loses rows gets the group-by's own ``std`` of
+        its remaining values, in row order — the array re-grouping would
+        aggregate — so every per-group float is the exact rerun's.  Moment
+        subtraction cannot promise that: ``np.std`` of a constant group is
+        rounding noise rather than 0.0, and the scale-free coefficient of
+        variation turns a noise-level difference into a different score.
         """
-        n_groups = self._structure.n_groups
-        count_rem = np.bincount(self._value_gids[removed_values], minlength=n_groups)
-        csum_rem = np.bincount(self._value_gids[removed_values],
-                               weights=self._centered[removed_values], minlength=n_groups)
-        csumsq_rem = np.bincount(self._value_gids[removed_values],
-                                 weights=self._centered_sq[removed_values],
-                                 minlength=n_groups)
-        counts = self._count_g - count_rem
-        s1 = self._csum_g - csum_rem
-        s2 = self._csumsq_g - csumsq_rem
-        with np.errstate(invalid="ignore", divide="ignore"):
-            variance = (s2 - s1 * s1 / counts) / (counts - 1)
-        deviations = np.sqrt(np.maximum(variance, 0.0))
-        # Matching the exact group-by: one usable value -> std 0.0, no usable
-        # value (but surviving rows) -> NaN.
-        values = np.where(counts > 1, deviations, np.where(counts == 1, 0.0, np.nan))
+        values = self._std_g.copy()
+        for group in np.flatnonzero(touched & alive):
+            start, stop = self._std_bounds[group], self._std_bounds[group + 1]
+            survivors = self._std_values[start:stop][~removed[self._std_rows[start:stop]]]
+            values[group] = _group_std(survivors)
         return coefficient_of_variation(values[alive])
 
 
+def _group_std(values: np.ndarray) -> float:
+    """One group's ``std`` aggregate, NaN when it has no usable value (as in the group-by)."""
+    return AGGREGATIONS["std"](values) if values.size else float("nan")
+
+
 # ---------------------------------------------------------------------- slicing
-def _keep_output_rows(sources: np.ndarray, removed: np.ndarray) -> np.ndarray:
-    """Output rows that survive removing ``removed`` rows of the intervened input."""
-    keep = np.ones(sources.size, dtype=bool)
+def _output_labels(sources: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Output rows' labels: the label of the input row each derives from, else ``-1``."""
+    output_labels = np.full(sources.size, -1, dtype=np.int64)
     derived = sources >= 0
-    keep[derived] = ~removed[sources[derived]]
-    return keep
-
-
-def _keep_output_rows_batch(sources: np.ndarray, removed: np.ndarray) -> np.ndarray:
-    """Batched :func:`_keep_output_rows`: one surviving-output mask per removal row."""
-    keep = np.ones((removed.shape[0], sources.size), dtype=bool)
-    derived = sources >= 0
-    keep[:, derived] = ~removed[:, sources[derived]]
-    return keep
+    output_labels[derived] = labels[sources[derived]]
+    return output_labels
 
 
 class _SliceDiversityPlan:
     """Reduced diversity of an output column of a row-sliceable operation."""
 
     def __init__(self, step, attribute: str, input_index: int, sources: np.ndarray) -> None:
-        self._n_rows = step.inputs[input_index].num_rows
         self._sources = sources
         column = step.output[attribute] if attribute in step.output else None
         if column is None or not column.is_numeric:
@@ -458,12 +459,12 @@ class _SliceDiversityPlan:
         else:
             self._values = column.values.astype(float)
 
-    def reduced_score(self, row_set: RowSet) -> float:
+    def reduced_scores(self, labels: np.ndarray, n_sets: int) -> List[float]:
         if self._values is None:
-            return 0.0
-        removed = _removal_mask(row_set, self._n_rows)
-        keep = _keep_output_rows(self._sources, removed)
-        return coefficient_of_variation(self._values[keep])
+            return [0.0] * n_sets
+        output_labels = _output_labels(self._sources, labels)
+        return [coefficient_of_variation(self._values[output_labels != position])
+                for position in range(n_sets)]
 
 
 class _SliceExceptionalityPlan:
@@ -476,7 +477,6 @@ class _SliceExceptionalityPlan:
 
     def __init__(self, step, attribute: str, input_index: int,
                  sources: np.ndarray) -> None:
-        self._n_rows = step.inputs[input_index].num_rows
         self._sources = sources
         self._pairs: List[_KSPair] = []
         if attribute in step.output:
@@ -488,22 +488,14 @@ class _SliceExceptionalityPlan:
                         before_is_reduced=(position == input_index),
                     ))
 
-    def reduced_score(self, row_set: RowSet) -> float:
+    def reduced_scores(self, labels: np.ndarray, n_sets: int) -> np.ndarray:
+        """Reduced exceptionality of every labelled set."""
         if not self._pairs:
-            return 0.0
-        removed = _removal_mask(row_set, self._n_rows)
-        keep = _keep_output_rows(self._sources, removed)
-        return max(pair.reduced_ks(removed, keep) for pair in self._pairs)
-
-    def reduced_scores_batch(self, row_sets: Sequence[RowSet]) -> np.ndarray:
-        """Reduced exceptionality of every set-of-rows in one 2-D KS pass."""
-        if not self._pairs:
-            return np.zeros(len(row_sets))
-        removed = _removal_matrix(row_sets, self._n_rows)
-        keep = _keep_output_rows_batch(self._sources, removed)
-        scores = self._pairs[0].reduced_ks_batch(removed, keep)
+            return np.zeros(n_sets)
+        output_labels = _output_labels(self._sources, labels)
+        scores = self._pairs[0].reduced_ks(labels, output_labels, n_sets)
         for pair in self._pairs[1:]:
-            scores = np.maximum(scores, pair.reduced_ks_batch(removed, keep))
+            scores = np.maximum(scores, pair.reduced_ks(labels, output_labels, n_sets))
         return scores
 
 
@@ -512,11 +504,13 @@ class _KSPair:
 
     Three regimes, mirroring :func:`repro.stats.ks.ks_columns`:
 
-    * numeric vs numeric — both argsorts cached, per-intervention sorted
-      values obtained by masking the sorted order;
+    * numeric vs numeric — both columns' non-NaN values placed once on one
+      sorted support (read off their cached argsorts); every set's KS
+      follows from removed counts (:func:`ks_removed_counts_batch`);
     * categorical vs categorical — cached factorisation codes, reduced value
       counts by subtraction, KS over the shared (full) support;
-    * mixed — reduced :class:`Column` views fed to :func:`ks_columns`.
+    * mixed — reduced :class:`Column` views fed to :func:`ks_columns`, one
+      set at a time.
     """
 
     def __init__(self, before: Column, after: Column, before_is_reduced: bool) -> None:
@@ -527,8 +521,12 @@ class _KSPair:
         numeric_after = after.is_numeric or after.is_boolean
         if numeric_before and numeric_after:
             self._mode = "numeric"
-            self._sorted_before, self._before_rows = _sorted_clean(before)
-            self._sorted_after, self._after_rows = _sorted_clean(after)
+            self._before_rows, values_before = _sorted_non_nan(before)
+            self._after_rows, values_after = _sorted_non_nan(after)
+            support = _sorted_union(values_before, values_after)
+            self._support_size = support.size
+            self._codes_before = np.searchsorted(support, values_before)
+            self._codes_after = np.searchsorted(support, values_after)
         elif before.is_categorical and after.is_categorical:
             self._mode = "categorical"
             codes_b, uniques_b = before.factorize()
@@ -546,28 +544,35 @@ class _KSPair:
         else:
             self._mode = "mixed"
 
-    def reduced_ks(self, removed: np.ndarray, keep_output: np.ndarray) -> float:
+    def reduced_ks(self, labels: np.ndarray, output_labels: np.ndarray,
+                   n_sets: int) -> np.ndarray:
+        """KS of every labelled set: input rows labelled ``s`` removed, and
+        the output rows labelled ``s`` with them."""
         if self._mode == "numeric":
-            before = self._sorted_before
-            if self._before_is_reduced:
-                before = before[~removed[self._before_rows]]
-            after = self._sorted_after[keep_output[self._after_rows]]
-            return ks_two_sample_sorted(before, after)
-        if self._mode == "categorical":
-            counts_before = self._counts_before
-            if self._before_is_reduced:
-                removed_codes = self._codes_before[removed & (self._codes_before >= 0)]
-                counts_before = counts_before - np.bincount(
-                    removed_codes, minlength=counts_before.size
-                )
-            dropped_codes = self._codes_after[~keep_output & (self._codes_after >= 0)]
-            counts_after = self._counts_after - np.bincount(
-                dropped_codes, minlength=self._counts_after.size
+            labels_before = labels[self._before_rows] if self._before_is_reduced else None
+            return ks_removed_counts_batch(
+                self._codes_before, labels_before,
+                self._codes_after, output_labels[self._after_rows],
+                self._support_size, n_sets,
             )
-            return ks_from_value_counts(
+        if self._mode == "categorical":
+            size_before = self._counts_before.size
+            if self._before_is_reduced:
+                counts_before = self._counts_before[None, :] - set_value_counts(
+                    labels, self._codes_before, size_before, n_sets)
+            else:
+                counts_before = np.broadcast_to(self._counts_before, (n_sets, size_before))
+            counts_after = self._counts_after[None, :] - set_value_counts(
+                output_labels, self._codes_after, self._counts_after.size, n_sets)
+            return ks_from_value_counts_batch(
                 counts_before, self._positions_before,
                 counts_after, self._positions_after, self._support_size,
             )
+        return np.asarray([self._reduced_ks_mixed(labels == position,
+                                                  output_labels != position)
+                           for position in range(n_sets)])
+
+    def _reduced_ks_mixed(self, removed: np.ndarray, keep_output: np.ndarray) -> float:
         before = self._before
         if self._before_is_reduced:
             before = Column._from_trusted(before.name, before.values[~removed], before.kind)
@@ -576,59 +581,27 @@ class _KSPair:
         )
         return ks_columns(before, after)
 
-    def reduced_ks_batch(self, removed: np.ndarray, keep_output: np.ndarray) -> np.ndarray:
-        """Batched :meth:`reduced_ks` over stacked removal / keep masks.
 
-        The numeric and categorical regimes run as single vectorised 2-D
-        passes (:func:`ks_sorted_masked_batch` /
-        :func:`ks_from_value_counts_batch`) and reproduce the per-set path
-        bit-for-bit: the per-set counts are the same integers and the
-        divisions/cumsums apply the same float operations row-wise.  The
-        mixed regime has no batched form and walks the sets.
-        """
-        n_sets = removed.shape[0]
-        if self._mode == "numeric":
-            keep_before = None
-            if self._before_is_reduced:
-                keep_before = ~removed[:, self._before_rows]
-            keep_after = keep_output[:, self._after_rows]
-            return ks_sorted_masked_batch(self._sorted_before, keep_before,
-                                          self._sorted_after, keep_after)
-        if self._mode == "categorical":
-            if self._before_is_reduced:
-                counts_before = self._counts_before[None, :] - _scatter_counts(
-                    removed, self._codes_before, self._counts_before.size
-                )
-            else:
-                counts_before = np.broadcast_to(
-                    self._counts_before, (n_sets, self._counts_before.size)
-                )
-            counts_after = self._counts_after[None, :] - _scatter_counts(
-                ~keep_output, self._codes_after, self._counts_after.size
-            )
-            return ks_from_value_counts_batch(
-                counts_before, self._positions_before,
-                counts_after, self._positions_after, self._support_size,
-            )
-        return np.asarray([
-            self.reduced_ks(removed[position], keep_output[position])
-            for position in range(n_sets)
-        ])
+def _sorted_non_nan(column: Column) -> Tuple[np.ndarray, np.ndarray]:
+    """Source rows and float values of a column's non-NaN values, sorted.
 
-
-def _scatter_counts(selected: np.ndarray, codes: np.ndarray, size: int) -> np.ndarray:
-    """Per-set value counts of the selected rows of a factorised column.
-
-    ``selected`` is an ``(n_sets, n_rows)`` boolean matrix; rows with code
-    ``< 0`` (missing values) never count.  One flat ``bincount`` over
-    ``set * size + code`` replaces a per-set bincount loop.
+    Uses the column's cached argsort; NaNs sort last, so the non-NaN prefix
+    is a slice.
     """
-    n_sets = selected.shape[0]
-    valid = codes >= 0
-    valid_codes = codes[valid]
-    set_index, position_index = np.nonzero(selected[:, valid])
-    flat = set_index * size + valid_codes[position_index]
-    return np.bincount(flat, minlength=n_sets * size).reshape(n_sets, size).astype(float)
+    order = column.sorted_order()
+    values = column.values.astype(float)[order]
+    n_clean = int((~np.isnan(values)).sum())
+    return order[:n_clean], values[:n_clean]
+
+
+def _sorted_union(first: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """Distinct values of two sorted arrays, merged in order without a sort."""
+    merged = np.empty(first.size + second.size)
+    merged[np.arange(first.size) + np.searchsorted(second, first, side="left")] = first
+    merged[np.arange(second.size) + np.searchsorted(first, second, side="right")] = second
+    distinct = np.ones(merged.size, dtype=bool)
+    distinct[1:] = merged[1:] != merged[:-1]
+    return merged[distinct]
 
 
 # -------------------------------------------------------------------- left join
@@ -697,7 +670,6 @@ class _LeftJoinRightPlan:
         self._attribute = attribute
         self._structure = structure
         self._diversity = diversity
-        self._n_right = right.num_rows
         self.supported = True
         self._out_kind = None
         self._pair_values: Optional[np.ndarray] = None
@@ -749,9 +721,12 @@ class _LeftJoinRightPlan:
                 self._before_right = right[attribute]
 
     # ------------------------------------------------------------------ scoring
-    def reduced_score(self, row_set: RowSet) -> float:
+    def reduced_scores(self, labels: np.ndarray, n_sets: int) -> List[float]:
+        return [self._reduced(labels == position) for position in range(n_sets)]
+
+    def _reduced(self, removed: np.ndarray) -> float:
+        """Reduced score with the right rows marked in ``removed`` gone."""
         structure = self._structure
-        removed = _removal_mask(row_set, self._n_right)
         keep_pairs = ~removed[structure.right_idx]
         surviving = np.bincount(structure.left_idx[keep_pairs],
                                 minlength=structure.n_left)
@@ -805,18 +780,3 @@ class _LeftJoinRightPlan:
         else:
             tail = np.asarray([None] * unmatched.size, dtype=object)
         return np.concatenate([pair_values, tail])
-
-
-def _sorted_clean(column: Column) -> Tuple[np.ndarray, np.ndarray]:
-    """Sorted non-NaN float values of a column plus their source row indices.
-
-    Uses the column's cached argsort; NaNs sort last, so the clean prefix is
-    a slice.  The row-index array lets callers translate a row-level keep
-    mask into a mask over the sorted values.
-    """
-    order = column.sorted_order()
-    values = column.values.astype(float)[order]
-    n_clean = int((~np.isnan(values)).sum())
-    return values[:n_clean], order[:n_clean]
-
-

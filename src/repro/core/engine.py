@@ -29,8 +29,9 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from ..dataframe.frame import DataFrame
 from ..errors import ExplanationError
 from ..obs.trace import begin_request, end_request
-from ..operators.operations import GroupBy
+from ..operators.operations import MEASURE_EXCEPTIONALITY, GroupBy
 from ..operators.step import ExploratoryStep
+from .backends.incremental import row_sources
 from .candidates import ExplanationCandidate, build_candidates
 from .config import FedexConfig
 from .contribution import ContributionCalculator
@@ -184,7 +185,7 @@ class FedexExplainer:
         start = time.perf_counter()
         with tracer.span("phase1.interestingness",
                          measure=chosen_measure.name) as span:
-            scores = self.score_columns(step, chosen_measure)
+            scores, scored_in_full = self._score_columns(step, chosen_measure)
             selected = self._select_columns(scores)
             span.set("columns_scored", len(scores))
             span.set("columns_selected", len(selected))
@@ -201,8 +202,12 @@ class FedexExplainer:
         start = time.perf_counter()
         with tracer.span("phase3.contribution",
                          backend=self.config.backend) as span:
+            # Unsampled phase-1 scores are the baselines ``I_A(Q)``: the same
+            # measure call on the same materialisation.
             calculator = ContributionCalculator(
-                step, chosen_measure, backend=self.config.backend,
+                step, chosen_measure,
+                baseline_scores=scores if scored_in_full else None,
+                backend=self.config.backend,
                 backend_options={"workers": self.config.workers, "context": self.context,
                                  "shard_batch": self.config.shard_batch,
                                  "spill_bytes": self.config.spill_bytes},
@@ -276,8 +281,14 @@ class FedexExplainer:
         # Phase 5: captioned visualizations
         start = time.perf_counter()
         with tracer.span("phase5.visualization"):
+            # Exceptionality charts count restricted outputs from the row
+            # provenance phase 3 read (memoized by the session context).
+            sources = None
+            if any(candidate.measure_name == MEASURE_EXCEPTIONALITY for candidate in final):
+                sources = row_sources(step, self.context)
             explanations = [
-                build_explanation(step, candidate, candidate_partitions[candidate.key()])
+                build_explanation(step, candidate, candidate_partitions[candidate.key()],
+                                  sources=sources)
                 for candidate in final
             ]
         timings["visualization"] = time.perf_counter() - start
@@ -300,13 +311,21 @@ class FedexExplainer:
         uniformly sampled materialisation of the step (the fedex-Sampling
         optimization); the contribution phase still uses all rows.
         """
+        return self._score_columns(step, measure)[0]
+
+    def _score_columns(self, step: ExploratoryStep,
+                       measure: InterestingnessMeasure | None = None,
+                       ) -> Tuple[Dict[str, float], bool]:
+        """:meth:`score_columns`, plus whether the step's own materialisation
+        was scored (no sample), which makes the scores its baselines."""
         chosen_measure = measure or measure_for_step(step, self.registry)
         columns = self._candidate_columns(step, chosen_measure)
         scoring_inputs, scoring_output = self._scoring_materialisation(step)
-        return {
+        scores = {
             attribute: chosen_measure.score(scoring_inputs, step, scoring_output, attribute)
             for attribute in columns
         }
+        return scores, scoring_output is step.output
 
     # ---------------------------------------------------------------- internals
     def _candidate_columns(self, step: ExploratoryStep,

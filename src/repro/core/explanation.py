@@ -4,17 +4,19 @@ An :class:`Explanation` couples a dominating explanation candidate with its
 captioned visualization (paper §3.7): a natural-language caption and a chart
 spec that can be rendered as ASCII text or exported as JSON.
 
-:func:`build_explanation` turns a skyline candidate into an explanation by
-re-running the step's operation restricted to each set-of-rows of the
-candidate's partition — this yields the "before vs after" frequencies of the
-exceptionality chart and the per-group aggregated values of the diversity
-chart, exactly the quantities the paper's Figure 2 plots.
+:func:`build_explanation` turns a skyline candidate into an explanation from
+the step restricted to each set-of-rows of the candidate's partition — the
+"before vs after" frequencies of the exceptionality chart and the per-group
+aggregated values of the diversity chart, exactly the quantities the paper's
+Figure 2 plots.  Exceptionality charts count restricted outputs from the
+step's row provenance; diversity charts, and inputs without provenance
+(group-by, a left join's right side, OLAP), re-run the operation per set.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -24,6 +26,7 @@ from ..stats.dispersion import mean_and_std
 from ..viz.chartspec import BarChartWithReference, ChartSpec, SideBySideBarChart
 from ..viz.render_text import render_chart
 from .candidates import ExplanationCandidate
+from .backends.incremental import row_sources
 from .captions import diversity_caption, exceptionality_caption, generic_caption
 from .partition import RowPartition, RowSet
 
@@ -91,12 +94,20 @@ class Explanation:
 
 
 def build_explanation(step: ExploratoryStep, candidate: ExplanationCandidate,
-                      partition: RowPartition) -> Explanation:
-    """Build the captioned visualization for a dominating candidate."""
+                      partition: RowPartition,
+                      sources: Optional[Sequence[Optional[np.ndarray]]] = None) -> Explanation:
+    """Build the captioned visualization for a dominating candidate.
+
+    ``sources`` is the step's row provenance as
+    :func:`~repro.core.backends.incremental.row_sources` returns it;
+    exceptionality charts compute it from the operation when not given.
+    """
     if candidate.measure_name == MEASURE_DIVERSITY:
         chart, caption = _diversity_visual(step, candidate, partition)
     elif candidate.measure_name == MEASURE_EXCEPTIONALITY:
-        chart, caption = _exceptionality_visual(step, candidate, partition)
+        if sources is None:
+            sources = row_sources(step)
+        chart, caption = _exceptionality_visual(step, candidate, partition, sources)
     else:
         chart, caption = None, generic_caption(
             candidate.attribute, candidate.row_set.label, candidate.measure_name,
@@ -118,8 +129,26 @@ def _restricted_output(step: ExploratoryStep, row_set: RowSet):
     return step.rerun(inputs)
 
 
+def _restricted_row_counts(step: ExploratoryStep, partition: RowPartition,
+                           sources: Optional[Sequence[Optional[np.ndarray]]]) -> List[int]:
+    """Output rows of the step with its input restricted to each set of the partition.
+
+    With provenance, that is the output rows not derived from the input plus
+    those derived from each row of the set (repeats included).
+    """
+    derived = None if sources is None else sources[partition.input_index]
+    if derived is None:
+        return [_restricted_output(step, row_set).num_rows for row_set in partition.sets]
+    base = int(np.count_nonzero(derived < 0))
+    per_row = np.bincount(derived[derived >= 0],
+                          minlength=step.inputs[partition.input_index].num_rows)
+    return [base + int(per_row[np.asarray(row_set.indices, dtype=np.int64)].sum())
+            for row_set in partition.sets]
+
+
 def _exceptionality_visual(step: ExploratoryStep, candidate: ExplanationCandidate,
-                           partition: RowPartition):
+                           partition: RowPartition,
+                           sources: Optional[Sequence[Optional[np.ndarray]]]):
     """Side-by-side before/after frequency chart + caption (Figure 2a style)."""
     input_frame = step.inputs[partition.input_index]
     total_input = max(input_frame.num_rows, 1)
@@ -130,10 +159,10 @@ def _exceptionality_visual(step: ExploratoryStep, candidate: ExplanationCandidat
     after: List[float] = []
     highlight_index = None
     chosen_before = chosen_after = 0.0
+    restricted_rows = _restricted_row_counts(step, partition, sources)
     for position, row_set in enumerate(partition.sets):
         before_fraction = row_set.size / total_input
-        restricted = _restricted_output(step, row_set)
-        after_fraction = restricted.num_rows / total_output
+        after_fraction = restricted_rows[position] / total_output
         categories.append(row_set.label)
         before.append(100.0 * before_fraction)
         after.append(100.0 * after_fraction)

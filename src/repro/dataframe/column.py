@@ -430,8 +430,8 @@ class Column:
         ``np.argsort`` convention); categorical columns sort by the string
         rendering of each value.  The cache makes repeated order-dependent
         computations — :meth:`DataFrame.sort_values` and the incremental
-        contribution backend's KS re-scoring, which derives the sorted values
-        of every row-set intervention from one shared argsort — pay the
+        contribution backend's KS re-scoring, which places a column's values
+        on a sorted support from one shared argsort — pay the
         ``O(n log n)`` sort exactly once per column.
         """
         if self._sorted_order is None:

@@ -33,7 +33,7 @@ MEASURE_DIVERSITY = "diversity"
 #: Aggregations whose reduced value is derivable from per-group partials
 #: without re-running the group-by: sum/count/mean by subtraction, min/max
 #: by a per-group rescan, median by order-statistic lookups on a shared
-#: group-major sort, std by subtraction of centered first/second moments.
+#: group-major sort, std by re-aggregating only the groups a set touches.
 DECOMPOSABLE_AGGREGATIONS = ("mean", "sum", "min", "max", "count", "median", "std")
 
 
@@ -93,8 +93,9 @@ class Operation(ABC):
         every reduced aggregate from precomputed per-group partials instead
         of re-grouping (see :mod:`repro.core.backends.incremental`).  ``None``
         — the default — means the hook does not apply: either the operation
-        is not an aggregation, or some aggregate (``median``, ``std``) cannot
-        be updated incrementally.
+        is not an aggregation, or some aggregate is not one of
+        :data:`DECOMPOSABLE_AGGREGATIONS` (all seven built-in aggregates,
+        ``median`` and ``std`` included, are).
         """
         return None
 

@@ -13,7 +13,7 @@ from .ks import (
     ks_columns,
     ks_from_distributions,
     ks_from_value_counts_batch,
-    ks_sorted_masked_batch,
+    ks_removed_counts_batch,
     ks_two_sample,
 )
 from .ranking import (
@@ -36,7 +36,7 @@ __all__ = [
     "ks_columns",
     "ks_from_distributions",
     "ks_from_value_counts_batch",
-    "ks_sorted_masked_batch",
+    "ks_removed_counts_batch",
     "ks_two_sample",
     "mean_and_std",
     "ndcg",

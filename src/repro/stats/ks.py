@@ -12,6 +12,10 @@ before and after the EDA operation.  We implement two flavours:
 * :func:`ks_two_sample` — the classic two-sample KS statistic on raw numeric
   samples, provided for completeness and cross-checked against SciPy in the
   test suite.
+
+:func:`ks_removed_counts_batch` re-scores every intervention of a partition
+from value counts, the floats :func:`ks_two_sample_sorted` gives on each
+set's kept values.
 """
 
 from __future__ import annotations
@@ -57,11 +61,8 @@ def ks_two_sample_sorted(sample_a: np.ndarray, sample_b: np.ndarray) -> float:
     """Two-sample KS statistic for already-sorted, NaN-free float arrays.
 
     Numerically identical to :func:`ks_two_sample` minus the ``O(n log n)``
-    sort and NaN scrub.  This is the workhorse of the incremental
-    contribution backend, which derives the sorted values of every row-set
-    intervention from one cached argsort of the full column (dropping rows
-    from a sorted array leaves it sorted) and therefore must not pay a fresh
-    sort per intervention.
+    sort and NaN scrub.  :func:`ks_removed_counts_batch` reproduces it
+    bit-for-bit on every intervention of a partition at once.
     """
     if sample_a.size == 0 or sample_b.size == 0:
         return 0.0
@@ -72,7 +73,7 @@ def ks_two_sample_sorted(sample_a: np.ndarray, sample_b: np.ndarray) -> float:
 
 
 #: Default working-set budget of the batched 2-D KS passes (128 MiB).  At
-#: paper-full scale the ``n_sets × n_rows`` matrices of one partition can
+#: paper-full scale the ``n_sets × n_values`` matrices of one partition can
 #: otherwise grow without bound; sets are processed in chunks that fit.
 DEFAULT_KS_BUDGET_BYTES = 128 * 1024 * 1024
 
@@ -91,96 +92,76 @@ def _batch_chunk_size(n_sets: int, words_per_set: int,
     return max(1, min(n_sets, budget // per_set))
 
 
-def ks_sorted_masked_batch(sorted_a: np.ndarray, keep_a: Optional[np.ndarray],
-                           sorted_b: np.ndarray, keep_b: Optional[np.ndarray],
-                           budget_bytes: Optional[int] = None) -> np.ndarray:
-    """KS statistics of many masked sub-samples of two sorted arrays at once.
+def set_value_counts(labels: np.ndarray, codes: np.ndarray, size: int, n_sets: int,
+                     weights: Optional[np.ndarray] = None) -> np.ndarray:
+    """Per-set bincounts of a factorised sample, from one label per value.
 
-    ``sorted_a`` / ``sorted_b`` are the full sorted, NaN-free samples;
-    ``keep_a`` / ``keep_b`` are boolean matrices of shape ``(n_sets, n)``
-    whose row ``i`` selects the sub-sample of set ``i`` (``None`` means every
-    set keeps the full array).  Returns one KS statistic per row — the same
-    floats :func:`ks_two_sample_sorted` produces on the masked arrays,
-    computed in a vectorised 2-D pass.
-
-    Dropping rows from a sorted array leaves it sorted, so the number of
-    kept values ``<= x`` is a prefix-sum of the keep mask evaluated at
-    ``searchsorted(full, x)`` — the searchsorted positions are shared by all
-    sets and computed once.  The per-set statistic is evaluated over *all*
-    pooled points of the full arrays; that is a superset of each sub-sample's
-    own pooled points, which is harmless (an empirical CDF difference is a
-    step function, so values between a sub-sample's jump points repeat values
-    already attained at the jump points) and keeps the evaluation grid
-    shared.  Rows whose sub-sample is empty on either side score 0, matching
-    the serial convention.  At least one mask must be given — with both
-    sides full there is no per-set variation to batch over, and the number
-    of sets cannot be inferred.
-
-    When the pass's per-set transient matrices would exceed ``budget_bytes``
-    (default :data:`DEFAULT_KS_BUDGET_BYTES`), the sets are processed in
-    chunks.  Every set's statistic involves only its own mask row plus the
-    shared positions, so chunking is bit-identical to the single pass.
+    Row ``s`` counts, per code in ``[0, size)``, the values labelled ``s``
+    (or sums their ``weights``, in value order as a per-set ``bincount``
+    would).  Labels outside ``[0, n_sets)`` and negative (missing) codes
+    never count.
     """
-    if keep_a is None and keep_b is None:
+    selected = (labels >= 0) & (labels < n_sets) & (codes >= 0)
+    flat = labels[selected] * size + codes[selected]
+    if weights is not None:
+        weights = weights[selected]
+    counts = np.bincount(flat, weights=weights, minlength=n_sets * size)
+    return counts.reshape(n_sets, size)
+
+
+def ks_removed_counts_batch(codes_a: np.ndarray, labels_a: Optional[np.ndarray],
+                            codes_b: np.ndarray, labels_b: Optional[np.ndarray],
+                            support_size: int, n_sets: int,
+                            budget_bytes: Optional[int] = None) -> np.ndarray:
+    """KS statistics of two samples after each of ``n_sets`` disjoint removals.
+
+    ``codes_*`` place each sample's non-NaN values on one sorted support of
+    ``support_size`` values; ``labels_*`` name, per value, the set whose
+    removal drops it (``-1``: none; ``None``: no set drops a value of that
+    side, and at least one side must be labelled).  Returns, per set, the
+    float :func:`ks_two_sample_sorted` gives on the kept values: at each
+    support value the kept count ``<= x`` is an integer over the kept
+    total, and the support holds every point of every set's pooled sample.
+    An empty side scores 0.  Sets are chunked to fit ``budget_bytes``
+    (default :data:`DEFAULT_KS_BUDGET_BYTES`); chunking changes no bit.
+    """
+    if labels_a is None and labels_b is None:
         raise ValueError(
-            "at least one of keep_a/keep_b must be a mask matrix "
-            "(use ks_two_sample_sorted for a single full-array statistic)"
+            "at least one of labels_a/labels_b must be given "
+            "(use ks_two_sample_sorted for a single full-sample statistic)"
         )
-    n_sets = keep_a.shape[0] if keep_a is not None else keep_b.shape[0]
-    pooled = np.concatenate([sorted_a, sorted_b])
-    positions_a = np.searchsorted(sorted_a, pooled, side="right")
-    positions_b = np.searchsorted(sorted_b, pooled, side="right")
-    # Transient float64 words per set: a prefix row + a gathered counts row
-    # per masked side, plus the shared-grid difference row.
-    words_per_set = pooled.size
-    if keep_a is not None:
-        words_per_set += sorted_a.size + 1 + pooled.size
-    if keep_b is not None:
-        words_per_set += sorted_b.size + 1 + pooled.size
+    if support_size == 0:
+        return np.zeros(n_sets)
+    full_a = np.cumsum(np.bincount(codes_a, minlength=support_size))
+    full_b = np.cumsum(np.bincount(codes_b, minlength=support_size))
+    # Transient words per set: two count rows per labelled side (removed
+    # and kept), plus the CDF difference and its operand.
+    words_per_set = 2 * support_size * (1 + (labels_a is not None) + (labels_b is not None))
     chunk = _batch_chunk_size(n_sets, words_per_set, budget_bytes)
-    if chunk >= n_sets:
-        return _ks_sorted_masked_block(sorted_a, keep_a, sorted_b, keep_b,
-                                       n_sets, pooled, positions_a, positions_b)
     statistics = np.empty(n_sets)
     for start in range(0, n_sets, chunk):
         stop = min(start + chunk, n_sets)
-        statistics[start:stop] = _ks_sorted_masked_block(
-            sorted_a, None if keep_a is None else keep_a[start:stop],
-            sorted_b, None if keep_b is None else keep_b[start:stop],
-            stop - start, pooled, positions_a, positions_b,
-        )
+        counts_a = _kept_counts(full_a, codes_a, labels_a, start, stop)
+        counts_b = _kept_counts(full_b, codes_b, labels_b, start, stop)
+        totals_a, totals_b = counts_a[:, -1], counts_b[:, -1]
+        safe_a = np.where(totals_a > 0, totals_a, 1).astype(float)
+        safe_b = np.where(totals_b > 0, totals_b, 1).astype(float)
+        diff = counts_a / safe_a[:, None]
+        diff -= counts_b / safe_b[:, None]
+        np.abs(diff, out=diff)
+        valid = (totals_a > 0) & (totals_b > 0)
+        statistics[start:stop] = np.where(valid, diff.max(axis=1), 0.0)
     return statistics
 
 
-def _ks_sorted_masked_block(sorted_a: np.ndarray, keep_a: Optional[np.ndarray],
-                            sorted_b: np.ndarray, keep_b: Optional[np.ndarray],
-                            n_sets: int, pooled: np.ndarray,
-                            positions_a: np.ndarray,
-                            positions_b: np.ndarray) -> np.ndarray:
-    """One chunk of :func:`ks_sorted_masked_batch` (shared grid precomputed)."""
-    counts_a, totals_a = _masked_prefix_counts(sorted_a.size, keep_a, n_sets, positions_a)
-    counts_b, totals_b = _masked_prefix_counts(sorted_b.size, keep_b, n_sets, positions_b)
-    valid = (totals_a > 0) & (totals_b > 0)
-    safe_a = np.where(totals_a > 0, totals_a, 1).astype(float)
-    safe_b = np.where(totals_b > 0, totals_b, 1).astype(float)
-    diff = counts_a / safe_a[:, None]
-    diff -= counts_b / safe_b[:, None]
-    np.abs(diff, out=diff)
-    statistics = diff.max(axis=1) if pooled.size else np.zeros(n_sets)
-    return np.where(valid, statistics, 0.0)
-
-
-def _masked_prefix_counts(n_values: int, keep: Optional[np.ndarray], n_sets: int,
-                          positions: np.ndarray) -> tuple:
-    """Per-set counts of kept values at each searchsorted position, plus totals."""
-    if keep is None:
-        counts = np.broadcast_to(positions.astype(float), (n_sets, positions.size))
-        totals = np.full(n_sets, n_values, dtype=np.int64)
-        return counts, totals
-    prefix = np.zeros((n_sets, n_values + 1))
-    np.cumsum(keep, axis=1, out=prefix[:, 1:])
-    totals = prefix[:, -1].astype(np.int64)
-    return prefix[:, positions], totals
+def _kept_counts(full: np.ndarray, codes: np.ndarray, labels: Optional[np.ndarray],
+                 start: int, stop: int) -> np.ndarray:
+    """Cumulative kept counts at every support value for sets ``start..stop-1``."""
+    if labels is None:
+        return np.broadcast_to(full, (stop - start, full.size))
+    removed = set_value_counts(labels - start, codes, full.size, stop - start)
+    np.cumsum(removed, axis=1, out=removed)
+    return full - removed
 
 
 def ks_from_value_counts_batch(counts_before: np.ndarray, positions_before: np.ndarray,
@@ -194,7 +175,7 @@ def ks_from_value_counts_batch(counts_before: np.ndarray, positions_before: np.n
     shared sorted support exactly as in the serial function.  Rows with zero
     total mass on either side score 0.
 
-    Like :func:`ks_sorted_masked_batch`, the sets are processed in chunks
+    Like :func:`ks_removed_counts_batch`, the sets are processed in chunks
     when the per-set PMF matrices would exceed ``budget_bytes`` (default
     :data:`DEFAULT_KS_BUDGET_BYTES`); rows are independent, so chunking is
     bit-identical to the single pass.

@@ -323,6 +323,29 @@ class TestIncrementalInternals:
                 else:
                     assert value_e == pytest.approx(value_i, abs=1e-9)
 
+    def test_std_of_constant_groups_matches_rerun(self):
+        """A constant group's ``np.std`` is rounding noise, not 0.0, and must stay so.
+
+        The coefficient of variation is scale-free, so noise-level stds score
+        unlike exact zeros: the incremental std has to reproduce the rerun's
+        per-group floats, for untouched groups and for groups losing rows.
+        """
+        x = 86.28406891416623
+        frame = DataFrame({
+            "k": np.asarray(list("baabaaaaacbbb"), dtype=object),
+            "p": np.asarray(list("xxyyxyxyxyxyy"), dtype=object),
+            "v": np.asarray([x, np.nan, 0.0, x, np.nan, np.nan, 0.0, np.nan, np.nan, 0.0,
+                             x, x, x]),
+        })
+        step = ExploratoryStep([frame], GroupBy("k", {"v": ["std"]}))
+        for attribute in ("k", "p"):
+            partition = FrequencyPartitioner().partition(frame, attribute, 3)
+            exact = ContributionCalculator(step, DiversityMeasure(), backend="exact")
+            incremental = ContributionCalculator(step, DiversityMeasure(), backend="incremental")
+            raw_e = exact.partition_contributions(partition, "std_v")
+            raw_i = incremental.partition_contributions(partition, "std_v")
+            assert [repr(value) for value in raw_i] == [repr(value) for value in raw_e]
+
     def test_no_op_intervention_contributes_exactly_zero(self, spotify_small):
         """Sets fully outside the pre-filter must yield a bit-exact 0.0."""
         step = ExploratoryStep([spotify_small], GroupBy(

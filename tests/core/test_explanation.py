@@ -4,11 +4,19 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 
-from repro.core import FedexConfig, FedexExplainer
-from repro.dataframe import Comparison
-from repro.operators import ExploratoryStep, Filter, GroupBy
+from repro.core import (
+    FedexConfig,
+    FedexExplainer,
+    build_candidates,
+    build_explanation,
+    build_partitions,
+    default_partitioners,
+)
+from repro.dataframe import Comparison, DataFrame
+from repro.operators import ExploratoryStep, Filter, GroupBy, Join, Union
 from repro.viz import BarChartWithReference, SideBySideBarChart
 
 
@@ -92,3 +100,83 @@ class TestDiversityExplanation:
         assert explanation.interestingness == explanation.candidate.interestingness
         assert explanation.standardized_contribution == \
             explanation.candidate.standardized_contribution
+
+
+class TestChartReruns:
+    """Which charts re-run the step's operation once per set-of-rows.
+
+    An exceptionality chart needs each restricted output's row count, which
+    the row provenance of the explained input gives (filter, inner join,
+    union, a left join's left side).  A group-by diversity chart and a left
+    join explained on its right input have no provenance and still re-run.
+    """
+
+    @pytest.fixture
+    def sides(self):
+        rng = np.random.default_rng(3)
+        left = DataFrame({
+            "k": np.asarray(["x", "y", "z", None, "w"] * 8, dtype=object),
+            "v": rng.normal(0, 1, 40),
+            "g": np.asarray(rng.choice(["a", "b", "c"], 40), dtype=object),
+        })
+        right = DataFrame({
+            "k": np.asarray(["x", "y", "y", None, "q", "x"], dtype=object),
+            "v": rng.normal(1, 1, 6),
+            "w": np.asarray([1.0, 2.0, 2.0, 3.0, 4.0, 5.0]),
+        })
+        return left, right
+
+    @staticmethod
+    def apply_calls(monkeypatch, step, input_index, partition_on, attribute, measure):
+        """``Operation.apply`` calls while building one candidate's chart."""
+        step.output
+        partition = build_partitions(step.inputs[input_index], [partition_on], (5,),
+                                     default_partitioners(), input_index=input_index)[0]
+        n_sets = len(partition.sets)
+        candidate = build_candidates(partition, attribute, 0.5, [1.0] * n_sets,
+                                     [0.0] * n_sets, measure, positive_only=False)[0]
+        calls = []
+        for operation in (Filter, GroupBy, Join, Union):
+            original = operation.apply
+
+            def counted(self, inputs, original=original):
+                calls.append(type(self).__name__)
+                return original(self, inputs)
+
+            monkeypatch.setattr(operation, "apply", counted)
+        build_explanation(step, candidate, partition)
+        return len(calls), n_sets
+
+    def test_filter_chart_reruns_nothing(self, monkeypatch, sides):
+        step = ExploratoryStep([sides[0]], Filter(Comparison("v", ">", 0.2)))
+        calls, _ = self.apply_calls(monkeypatch, step, 0, "g", "g", "exceptionality")
+        assert calls == 0
+
+    @pytest.mark.parametrize("input_index,partition_on,attribute",
+                             [(0, "g", "g"), (1, "w", "w")])
+    def test_inner_join_chart_reruns_nothing(self, monkeypatch, sides, input_index,
+                                             partition_on, attribute):
+        step = ExploratoryStep(list(sides), Join("k"))
+        calls, _ = self.apply_calls(monkeypatch, step, input_index, partition_on,
+                                    attribute, "exceptionality")
+        assert calls == 0
+
+    def test_union_chart_reruns_nothing(self, monkeypatch, sides):
+        step = ExploratoryStep(list(sides), Union())
+        calls, _ = self.apply_calls(monkeypatch, step, 1, "v", "v", "exceptionality")
+        assert calls == 0
+
+    def test_left_join_left_side_chart_reruns_nothing(self, monkeypatch, sides):
+        step = ExploratoryStep(list(sides), Join("k", how="left"))
+        calls, _ = self.apply_calls(monkeypatch, step, 0, "g", "g", "exceptionality")
+        assert calls == 0
+
+    def test_left_join_right_side_chart_reruns_per_set(self, monkeypatch, sides):
+        step = ExploratoryStep(list(sides), Join("k", how="left"))
+        calls, n_sets = self.apply_calls(monkeypatch, step, 1, "w", "w", "exceptionality")
+        assert calls == n_sets > 0
+
+    def test_groupby_diversity_chart_reruns_per_set(self, monkeypatch, sides):
+        step = ExploratoryStep([sides[0]], GroupBy("g", {"v": ["mean"]}))
+        calls, n_sets = self.apply_calls(monkeypatch, step, 0, "g", "mean_v", "diversity")
+        assert calls == n_sets > 0

@@ -12,7 +12,7 @@ from repro.stats import (
     ks_columns,
     ks_from_distributions,
     ks_from_value_counts_batch,
-    ks_sorted_masked_batch,
+    ks_removed_counts_batch,
     ks_two_sample,
 )
 from repro.stats.ks import ks_from_value_counts, ks_two_sample_sorted
@@ -119,36 +119,51 @@ class TestKsColumns:
         assert ks_columns(before, after) > 0.2
 
 
+def _factorised(sample_a, sample_b):
+    """Codes of two sorted samples on their shared sorted support, plus its size."""
+    support = np.union1d(sample_a, sample_b)
+    return (np.searchsorted(support, sample_a), np.searchsorted(support, sample_b),
+            support.size)
+
+
 class TestBatchedKs:
-    """The batched 2-D passes must reproduce the serial statistics bit-for-bit."""
+    """The batched 2-D passes must reproduce the serial statistics bit-for-bit.
+
+    The ``sorted_masked`` tests run :func:`ks_removed_counts_batch`: set
+    ``s`` masks out the values of each sorted sample labelled ``s``.
+    """
 
     def test_sorted_masked_batch_matches_serial(self):
         rng = np.random.default_rng(7)
-        sample_a = np.sort(rng.normal(0, 1, 300))
-        sample_b = np.sort(rng.normal(0.3, 1.2, 200))
-        keep_a = rng.random((8, sample_a.size)) > 0.3
-        keep_b = rng.random((8, sample_b.size)) > 0.2
-        batch = ks_sorted_masked_batch(sample_a, keep_a, sample_b, keep_b)
+        # Rounded values, so the samples tie within and across each other.
+        sample_a = np.sort(np.round(rng.normal(0, 1, 300), 1))
+        sample_b = np.sort(np.round(rng.normal(0.3, 1.2, 200), 1))
+        labels_a = rng.integers(-1, 8, sample_a.size)
+        labels_b = rng.integers(-1, 8, sample_b.size)
+        codes_a, codes_b, size = _factorised(sample_a, sample_b)
+        batch = ks_removed_counts_batch(codes_a, labels_a, codes_b, labels_b, size, 8)
         for row in range(8):
-            serial = ks_two_sample_sorted(sample_a[keep_a[row]], sample_b[keep_b[row]])
+            serial = ks_two_sample_sorted(sample_a[labels_a != row], sample_b[labels_b != row])
             assert batch[row] == serial
 
     def test_sorted_masked_batch_full_side(self):
-        """keep=None means every set keeps the whole array on that side."""
+        """labels=None means every set keeps the whole sample on that side."""
         rng = np.random.default_rng(8)
         sample_a = np.sort(rng.normal(0, 1, 150))
         sample_b = np.sort(rng.normal(0.5, 1, 120))
-        keep_b = rng.random((5, sample_b.size)) > 0.4
-        batch = ks_sorted_masked_batch(sample_a, None, sample_b, keep_b)
+        labels_b = rng.integers(-1, 5, sample_b.size)
+        codes_a, codes_b, size = _factorised(sample_a, sample_b)
+        batch = ks_removed_counts_batch(codes_a, None, codes_b, labels_b, size, 5)
         for row in range(5):
-            serial = ks_two_sample_sorted(sample_a, sample_b[keep_b[row]])
+            serial = ks_two_sample_sorted(sample_a, sample_b[labels_b != row])
             assert batch[row] == serial
 
     def test_sorted_masked_batch_empty_subsample_scores_zero(self):
         sample = np.asarray([1.0, 2.0, 3.0])
-        keep_a = np.asarray([[False, False, False], [True, True, True]])
-        keep_b = np.ones((2, 3), dtype=bool)
-        batch = ks_sorted_masked_batch(sample, keep_a, sample, keep_b)
+        labels_a = np.asarray([0, 0, 0])
+        labels_b = np.asarray([-1, -1, -1])
+        codes, _, size = _factorised(sample, sample)
+        batch = ks_removed_counts_batch(codes, labels_a, codes, labels_b, size, 2)
         assert batch[0] == 0.0
         assert batch[1] == 0.0  # identical samples
 
@@ -171,8 +186,9 @@ class TestBatchedKs:
 
     def test_sorted_masked_batch_rejects_double_none(self):
         sample = np.asarray([1.0, 2.0, 3.0])
+        codes, _, size = _factorised(sample, sample)
         with pytest.raises(ValueError):
-            ks_sorted_masked_batch(sample, None, sample, None)
+            ks_removed_counts_batch(codes, None, codes, None, size, 1)
 
     def test_value_counts_batch_zero_mass_scores_zero(self):
         positions = np.asarray([0, 1])
@@ -188,7 +204,8 @@ class TestChunkedBatchedKs:
     Rows of the batched passes are independent, so processing the sets in
     chunks (down to one set per chunk under a 1-byte budget) must reproduce
     the unchunked statistics exactly — this is the equivalence contract of
-    the paper-full-scale memory bound.
+    the paper-full-scale memory bound.  The ``sorted_masked`` tests run
+    :func:`ks_removed_counts_batch`.
     """
 
     @pytest.mark.parametrize("budget_bytes", [1, 1_000, 50_000])
@@ -196,12 +213,13 @@ class TestChunkedBatchedKs:
         rng = np.random.default_rng(11)
         sample_a = np.sort(rng.normal(0, 1, 250))
         sample_b = np.sort(rng.normal(0.2, 1.1, 180))
-        keep_a = rng.random((13, sample_a.size)) > 0.35
-        keep_b = rng.random((13, sample_b.size)) > 0.25
-        unchunked = ks_sorted_masked_batch(sample_a, keep_a, sample_b, keep_b,
-                                           budget_bytes=1 << 40)
-        chunked = ks_sorted_masked_batch(sample_a, keep_a, sample_b, keep_b,
-                                         budget_bytes=budget_bytes)
+        labels_a = rng.integers(-1, 13, sample_a.size)
+        labels_b = rng.integers(-1, 13, sample_b.size)
+        codes_a, codes_b, size = _factorised(sample_a, sample_b)
+        unchunked = ks_removed_counts_batch(codes_a, labels_a, codes_b, labels_b, size, 13,
+                                            budget_bytes=1 << 40)
+        chunked = ks_removed_counts_batch(codes_a, labels_a, codes_b, labels_b, size, 13,
+                                          budget_bytes=budget_bytes)
         assert np.array_equal(chunked, unchunked)
 
     @pytest.mark.parametrize("budget_bytes", [1, 2_000])
@@ -209,11 +227,12 @@ class TestChunkedBatchedKs:
         rng = np.random.default_rng(12)
         sample_a = np.sort(rng.normal(0, 1, 90))
         sample_b = np.sort(rng.normal(0.4, 0.9, 140))
-        keep_b = rng.random((9, sample_b.size)) > 0.5
-        unchunked = ks_sorted_masked_batch(sample_a, None, sample_b, keep_b,
-                                           budget_bytes=1 << 40)
-        chunked = ks_sorted_masked_batch(sample_a, None, sample_b, keep_b,
-                                         budget_bytes=budget_bytes)
+        labels_b = rng.integers(-1, 9, sample_b.size)
+        codes_a, codes_b, size = _factorised(sample_a, sample_b)
+        unchunked = ks_removed_counts_batch(codes_a, None, codes_b, labels_b, size, 9,
+                                            budget_bytes=1 << 40)
+        chunked = ks_removed_counts_batch(codes_a, None, codes_b, labels_b, size, 9,
+                                          budget_bytes=budget_bytes)
         assert np.array_equal(chunked, unchunked)
 
     @pytest.mark.parametrize("budget_bytes", [1, 500])
